@@ -42,8 +42,8 @@
 // so requests for sessions in different shards never contend on one lock.
 // With -wal, each shard journals to its own WAL lane, so commit fsyncs in
 // different shards overlap too. A WAL directory's lane count is fixed when
-// it is first created: an explicit -shards must match it on reopen (legacy
-// pre-lane directories are upgraded in place to the chosen count).
+// it is first created: an explicit -shards must match it on reopen. A
+// directory holding a pre-lane (v1) journal file is refused at startup.
 //
 // Durability comes in two exclusive modes:
 //

@@ -82,10 +82,10 @@
 // proposal sequences and estimates bit-for-bit identical across 1, 4 and 8
 // shards, including through crash recovery. The lane format is WAL record
 // version 2 (a shard tag and format version joined the record header, CRC
-// covering both); v1 single-stream journals are read-compatible and
-// upgraded in place on first open. BenchmarkManagerParallel and
-// BenchmarkServerProposeParallel track the multi-worker commit throughput
-// scaling with shard count.
+// covering both), the only format Open reads: a directory holding a v1
+// (pre-lane) file is refused unread and untouched.
+// BenchmarkManagerParallel and BenchmarkServerProposeParallel track the
+// multi-worker commit throughput scaling with shard count.
 //
 // # Performance
 //
@@ -115,10 +115,11 @@
 // The pool read path is zero-copy where the platform allows it. On
 // linux/amd64 and linux/arm64 the store serves a pool's scores column
 // straight off a read-only memory mapping of the immutable pool file — the
-// v2 binary format places the column 8-byte-aligned at offset 24 exactly so
-// it can be aliased as []float64 without copying — and the OS page cache,
-// not the Go heap, governs residency. Every other platform (and every
-// legacy v1 file) falls back to a streaming section-by-section decode
+// binary format ("OASISPL2", the only pool format the store accepts) places
+// the column 8-byte-aligned at offset 24 exactly so it can be aliased as
+// []float64 without copying — and the OS page cache, not the Go heap,
+// governs residency. Every other platform (and any load whose mmap fails)
+// falls back to a streaming section-by-section decode
 // through one reused 1 MiB buffer; a cross-check test holds the two paths
 // byte-identical. Integrity work is paid once per open: the first load of a
 // pool verifies the full SHA-256 content address, finiteness and padding,

@@ -15,7 +15,7 @@ import (
 // bytes a content address: uploading the same pool twice, in either JSON or
 // binary form, always lands on the same ID.
 //
-// Version 2 (current, written by Encode):
+// Version 2, the only version Encode writes and Decode and the store read:
 //
 //	magic   [8]byte  "OASISPL2"
 //	count   uint64   little-endian number of pairs (> 0)
@@ -31,11 +31,9 @@ import (
 //	        trailing pad bits of the last byte are zero
 //	crcP    uint32   CRC-32C of the preds section
 //
-// Version 1 ("OASISPL1") is identical except the header stops after crcHdr
-// (20 bytes, scores misaligned). Decode and the store still read v1 files —
-// the content address is the hash of the bytes as stored, so a v1 file keeps
-// its v1 ID forever — but v1 pools always take the decode path, never the
-// mmap alias.
+// A version 1 ("OASISPL1") input is refused with a distinct "unsupported
+// pool format" error: it would hash to a different content address than the
+// same pool in v2 form, breaking the one-pool-one-address rule.
 //
 // Every section carries its own CRC so a flipped bit is pinned to a section
 // (and detected without hashing the whole file), and the total length is a
@@ -47,15 +45,13 @@ import (
 // 8.125 bytes/pair plus 32 bytes of framing: a 1M-pair pool is ~8.1 MiB.
 
 const (
-	codecMagic   = "OASISPL2"
-	codecMagicV1 = "OASISPL1"
-	// codecCRCEnd is where the header CRC's coverage ends (magic + count),
-	// identical in both versions.
+	codecMagic = "OASISPL2"
+	// codecCRCEnd is where the header CRC's coverage ends (magic + count).
 	codecCRCEnd = 16
-	// codecHeaderSize is the v2 header: magic + count + header CRC + 4 pad
-	// bytes, sized so the scores section starts at an 8-byte boundary.
-	codecHeaderSize   = codecCRCEnd + 4 + 4
-	codecHeaderSizeV1 = codecCRCEnd + 4
+	// codecHeaderSize is the header: magic + count + header CRC + 4 pad
+	// bytes, sized so the scores section starts at an 8-byte boundary. It is
+	// also the scores section's offset.
+	codecHeaderSize = codecCRCEnd + 4 + 4
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -67,50 +63,41 @@ var idPattern = regexp.MustCompile(`^[0-9a-f]{64}$`)
 // ValidID reports whether id has the shape of a pool content address.
 func ValidID(id string) bool { return idPattern.MatchString(id) }
 
-// encodedSize returns the canonical (v2) encoding's total length for n pairs.
+// encodedSize returns the canonical encoding's total length for n pairs.
 func encodedSize(n int) int { return sectionsSize(n) + codecHeaderSize }
 
 // sectionsSize is the post-header length: scores + crcS + preds + crcP.
 func sectionsSize(n int) int { return 8*n + 4 + (n+7)/8 + 4 }
 
-// poolLayout locates the sections of one verified encoding. scoresOff is
-// also the header size (20 for v1, 24 for v2).
+// poolLayout locates the sections of one verified encoding of n pairs; the
+// scores section starts at codecHeaderSize.
 type poolLayout struct {
-	n         int
-	scoresOff int
-	aligned   bool // scores start 8-byte aligned (v2): mmap-aliasable
+	n int
 }
 
-func (l poolLayout) scoresEnd() int { return l.scoresOff + 8*l.n }
+func (l poolLayout) scoresEnd() int { return codecHeaderSize + 8*l.n }
 func (l poolLayout) predsOff() int  { return l.scoresEnd() + 4 }
 func (l poolLayout) predsEnd() int  { return l.predsOff() + (l.n+7)/8 }
 func (l poolLayout) total() int     { return l.predsEnd() + 4 }
 
 // parseHeader verifies the header prefix of an encoding (magic, header CRC,
-// count bounds, v2 pad bytes) against the total length and returns the
-// layout. data may be just the header or the whole encoding; limit is the
-// full encoding's length (for the count bound and exact-size check).
+// count bounds, pad bytes) against the total length and returns the layout.
+// data may be just the header or the whole encoding; limit is the full
+// encoding's length (for the count bound and exact-size check).
 func parseHeader(data []byte, limit int) (poolLayout, error) {
-	if len(data) < codecHeaderSizeV1 {
-		return poolLayout{}, fmt.Errorf("poolstore: pool encoding is %d bytes, shorter than the %d-byte header", len(data), codecHeaderSizeV1)
+	if len(data) >= len(codecMagic) && string(data[:len(codecMagic)]) == "OASISPL1" {
+		return poolLayout{}, fmt.Errorf("poolstore: unsupported pool format %q", data[:len(codecMagic)])
 	}
-	var lay poolLayout
-	switch string(data[:8]) {
-	case codecMagic:
-		lay.scoresOff = codecHeaderSize
-		lay.aligned = true
-	case codecMagicV1:
-		lay.scoresOff = codecHeaderSizeV1
-	default:
-		return poolLayout{}, fmt.Errorf("poolstore: bad magic %q", data[:8])
+	if len(data) < codecHeaderSize {
+		return poolLayout{}, fmt.Errorf("poolstore: pool encoding is %d bytes, shorter than the %d-byte header", len(data), codecHeaderSize)
 	}
-	if len(data) < lay.scoresOff {
-		return poolLayout{}, fmt.Errorf("poolstore: pool encoding is %d bytes, shorter than the %d-byte header", len(data), lay.scoresOff)
+	if string(data[:len(codecMagic)]) != codecMagic {
+		return poolLayout{}, fmt.Errorf("poolstore: bad magic %q", data[:len(codecMagic)])
 	}
 	if got, want := crc32.Checksum(data[:codecCRCEnd], castagnoli), binary.LittleEndian.Uint32(data[codecCRCEnd:codecCRCEnd+4]); got != want {
 		return poolLayout{}, fmt.Errorf("poolstore: header CRC mismatch")
 	}
-	if lay.aligned && (data[20] != 0 || data[21] != 0 || data[22] != 0 || data[23] != 0) {
+	if data[20] != 0 || data[21] != 0 || data[22] != 0 || data[23] != 0 {
 		return poolLayout{}, fmt.Errorf("poolstore: non-zero header padding")
 	}
 	count := binary.LittleEndian.Uint64(data[8:codecCRCEnd])
@@ -120,7 +107,7 @@ func parseHeader(data []byte, limit int) (poolLayout, error) {
 	if count == 0 || count > uint64(limit)/8 {
 		return poolLayout{}, fmt.Errorf("poolstore: pool declares %d pairs, impossible for a %d-byte encoding", count, limit)
 	}
-	lay.n = int(count)
+	lay := poolLayout{n: int(count)}
 	if limit != lay.total() {
 		return poolLayout{}, fmt.Errorf("poolstore: pool of %d pairs must encode to %d bytes, got %d", lay.n, lay.total(), limit)
 	}
@@ -130,7 +117,7 @@ func parseHeader(data []byte, limit int) (poolLayout, error) {
 // verifySections checks the scores and preds CRCs of a full encoding whose
 // header parseHeader already verified.
 func verifySections(data []byte, lay poolLayout) error {
-	if got, want := crc32.Checksum(data[lay.scoresOff:lay.scoresEnd()], castagnoli), binary.LittleEndian.Uint32(data[lay.scoresEnd():]); got != want {
+	if got, want := crc32.Checksum(data[codecHeaderSize:lay.scoresEnd()], castagnoli), binary.LittleEndian.Uint32(data[lay.scoresEnd():]); got != want {
 		return fmt.Errorf("poolstore: scores section CRC mismatch")
 	}
 	if got, want := crc32.Checksum(data[lay.predsOff():lay.predsEnd()], castagnoli), binary.LittleEndian.Uint32(data[lay.predsEnd():]); got != want {
@@ -167,7 +154,7 @@ func validatePool(scores []float64, preds []bool) error {
 	return nil
 }
 
-// Encode serialises the pool columns into the canonical binary form (v2).
+// Encode serialises the pool columns into the canonical binary form.
 func Encode(scores []float64, preds []bool) ([]byte, error) {
 	if err := validatePool(scores, preds); err != nil {
 		return nil, err
@@ -200,7 +187,7 @@ func Encode(scores []float64, preds []bool) ([]byte, error) {
 // encoding into a fresh slice.
 func decodeScores(data []byte, lay poolLayout) ([]float64, error) {
 	scores := make([]float64, lay.n)
-	raw := data[lay.scoresOff:lay.scoresEnd()]
+	raw := data[codecHeaderSize:lay.scoresEnd()]
 	for i := range scores {
 		s := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		if math.IsNaN(s) || math.IsInf(s, 0) {
@@ -225,10 +212,9 @@ func decodePreds(data []byte, lay poolLayout) ([]bool, error) {
 	return preds, nil
 }
 
-// Decode parses and fully verifies a canonical binary pool (either format
-// version): magic, exact length, all three CRCs, zero pad bits/bytes, finite
-// scores. It allocates fresh column slices, so the caller may retain them
-// past the input buffer.
+// Decode parses and fully verifies a canonical binary pool: magic, exact
+// length, all three CRCs, zero pad bits/bytes, finite scores. It allocates
+// fresh column slices, so the caller may retain them past the input buffer.
 func Decode(data []byte) (scores []float64, preds []bool, err error) {
 	lay, err := parseHeader(data, len(data))
 	if err != nil {
@@ -253,10 +239,9 @@ func contentID(encoded []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// decodeHeader reads just the verified header of an encoded pool (either
-// version), returning its pair count. size is the full file size, used for
-// the exact-length check. Used to index on-disk pools without loading their
-// columns.
+// decodeHeader reads just the verified header of an encoded pool, returning
+// its pair count. size is the full file size, used for the exact-length
+// check. Used to index on-disk pools without loading their columns.
 func decodeHeader(data []byte, size int64) (pairs int, err error) {
 	if size > math.MaxInt32*8 {
 		return 0, fmt.Errorf("poolstore: pool file of %d bytes is too large", size)

@@ -1,11 +1,11 @@
 //go:build linux && (amd64 || arm64)
 
 // Zero-copy pool mapping. linux/{amd64,arm64} are little-endian and allow
-// unaligned loads, and the v2 encoding places the scores section at an
+// unaligned loads, and the pool encoding places the scores section at an
 // 8-byte-aligned offset of the page-aligned mapping, so the scores column
 // can be aliased directly as []float64 without copying or byte-swapping.
-// Other platforms (and v1 files, whose scores are misaligned) take the
-// streaming decode fallback in mmap_stub.go/store.go.
+// Other platforms take the streaming decode fallback in
+// mmap_stub.go/store.go.
 
 package poolstore
 
@@ -66,10 +66,10 @@ func (m *mapping) unmap() error {
 }
 
 // aliasScores reinterprets the scores section of the mapped encoding as a
-// []float64 without copying. The layout must be aligned (v2: section offset
-// a multiple of 8 within the page-aligned mapping) — parseHeader guarantees
-// it before the store ever calls this.
+// []float64 without copying. The scores start at codecHeaderSize, a multiple
+// of 8 within the page-aligned mapping; parseHeader has verified the layout
+// before the store ever calls this.
 func (m *mapping) aliasScores(lay poolLayout) []float64 {
-	raw := m.data[lay.scoresOff:lay.scoresEnd()]
+	raw := m.data[codecHeaderSize:lay.scoresEnd()]
 	return unsafe.Slice((*float64)(unsafe.Pointer(&raw[0])), lay.n)
 }

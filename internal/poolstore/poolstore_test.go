@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -24,6 +25,14 @@ func testColumns(n int, seed uint64) (scores []float64, preds []bool) {
 		preds[i] = scores[i] >= 0.5
 	}
 	return scores, preds
+}
+
+// v1Encoding rebuilds encoded (a current encoding) in the retired OASISPL1
+// layout: v1 magic, a valid header CRC, no pad bytes.
+func v1Encoding(encoded []byte) []byte {
+	v1 := append([]byte("OASISPL1"), encoded[8:codecCRCEnd]...)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, castagnoli))
+	return append(v1, encoded[codecHeaderSize:]...)
 }
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -94,6 +103,10 @@ func TestCodecRejectsDamage(t *testing.T) {
 	})
 	if _, _, err := Decode(nan); err == nil {
 		t.Error("Decode accepted a CRC-valid NaN score")
+	}
+	// A retired v1 encoding is refused by name, not misread as damage.
+	if _, _, err := Decode(v1Encoding(encoded)); err == nil || err.Error() != `poolstore: unsupported pool format "OASISPL1"` {
+		t.Errorf("v1 encoding: err = %v, want the unsupported-format error", err)
 	}
 }
 
@@ -390,31 +403,44 @@ func TestOpenQuarantinesDamagedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v1 := v1Encoding(data)
 	data[3] ^= 0xff // magic byte
 	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A retired v1 file under its own content address is quarantined too.
+	v1ID := contentID(v1)
+	v1Path := filepath.Join(dir, v1ID+poolFileSuffix)
+	if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s2, err := Open(dir)
 	if err != nil {
-		t.Fatalf("open with a damaged pool file: %v", err)
+		t.Fatalf("open with damaged pool files: %v", err)
 	}
-	if got := s2.Damaged(); len(got) != 1 || got[0] != broken.ID+poolFileSuffix {
-		t.Fatalf("damaged = %v", got)
+	want := []string{broken.ID + poolFileSuffix, v1ID + poolFileSuffix}
+	sort.Strings(want)
+	if got := s2.Damaged(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("damaged = %v, want %v", got, want)
 	}
-	if st := s2.Stats(); st.Damaged != 1 || st.Pools != 1 {
-		t.Fatalf("stats = %+v, want 1 damaged, 1 healthy", st)
+	if st := s2.Stats(); st.Damaged != 2 || st.Pools != 1 {
+		t.Fatalf("stats = %+v, want 2 damaged, 1 healthy", st)
 	}
-	// The healthy pool still resolves; the damaged one is simply not found.
+	// The healthy pool still resolves; the damaged ones are simply not found.
 	if _, err := s2.Acquire(info.ID); err != nil {
 		t.Fatalf("healthy pool unusable: %v", err)
 	}
-	if _, err := s2.Acquire(broken.ID); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("damaged pool: err = %v, want ErrNotFound", err)
+	for _, id := range []string{broken.ID, v1ID} {
+		if _, err := s2.Acquire(id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("damaged pool %s: err = %v, want ErrNotFound", id, err)
+		}
 	}
-	// The file was quarantined, not deleted.
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("quarantined file was removed: %v", err)
+	// The files were quarantined, not deleted.
+	for _, p := range []string{path, v1Path} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("quarantined file was removed: %v", err)
+		}
 	}
 }
 

@@ -22,9 +22,10 @@
 // the mapping as []float64 — residency is then governed by the page cache,
 // not the Go heap. The full SHA-256 content verification runs once per
 // store open per pool; warm reacquires of an evicted pool re-check only the
-// section CRCs. Other platforms (and legacy v1 files) take a streaming
-// decode that reads the file section by section through a fixed-size buffer,
-// so peak load memory is one buffer, never a second whole-pool copy.
+// section CRCs. Other platforms, and any load whose mmap fails, take a
+// streaming decode that reads the file section by section through a
+// fixed-size buffer, so peak load memory is one buffer, never a second
+// whole-pool copy.
 //
 // Stratifications are cached beside the pool: CSF/equal-size strata are a
 // pure function of (pool columns, strata options), so the session layer
@@ -346,8 +347,8 @@ func readPoolHeader(path string) (pairs int, size int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	// Read the larger (v2) header size; any structurally valid pool file of
-	// either version is longer than that, so a short read means damage.
+	// Any structurally valid pool file is longer than the header, so a short
+	// read means damage.
 	hdr := make([]byte, codecHeaderSize)
 	if _, err := io.ReadFull(f, hdr); err != nil {
 		return 0, 0, fmt.Errorf("short pool file: %w", err)
@@ -626,9 +627,9 @@ func (s *Store) acquire(id string) (_ *Pool, warm, mapped bool, err error) {
 }
 
 // load materialises the pool file for id: the zero-copy mmap path where the
-// platform and the file's format version allow it, the streaming decode
-// otherwise. verified skips the whole-file SHA-256 (the one-time-per-open
-// policy — section CRCs are always re-checked).
+// platform allows it, the streaming decode otherwise. verified skips the
+// whole-file SHA-256 (the one-time-per-open policy — section CRCs are always
+// re-checked).
 func (s *Store) load(id string, verified, decodeOnly bool) (*Pool, *mapping, error) {
 	path := s.path(id)
 	if mmapSupported && !decodeOnly {
@@ -642,10 +643,10 @@ func (s *Store) load(id string, verified, decodeOnly bool) (*Pool, *mapping, err
 }
 
 // loadMapped maps the pool file and serves the scores column straight out
-// of the mapping. fellBack reports the file needs the decode path instead
-// (v1 layout, whose scores are misaligned); verification failures are
-// returned as errors, not fallbacks — a corrupt file must fail loudly, not
-// be re-read more forgivingly.
+// of the mapping. fellBack reports that mmap itself failed and the decode
+// path should run instead; verification failures are returned as errors,
+// not fallbacks — a corrupt file must fail loudly, not be re-read more
+// forgivingly.
 func (s *Store) loadMapped(path, id string, verified bool) (_ *Pool, _ *mapping, err error, fellBack bool) {
 	m, err := mapPoolFile(path)
 	if err != nil {
@@ -657,16 +658,13 @@ func (s *Store) loadMapped(path, id string, verified bool) (_ *Pool, _ *mapping,
 		return nil, nil, nil, true
 	}
 	defer func() {
-		if err != nil || fellBack {
+		if err != nil {
 			_ = m.unmap()
 		}
 	}()
 	lay, err := parseHeader(m.data, len(m.data))
 	if err != nil {
 		return nil, nil, fmt.Errorf("poolstore: pool %q: %w", id, err), false
-	}
-	if !lay.aligned {
-		return nil, nil, nil, true // v1 file: scores misaligned, decode it
 	}
 	if err := verifySections(m.data, lay); err != nil {
 		return nil, nil, fmt.Errorf("poolstore: pool %q: %w", id, err), false
@@ -715,16 +713,9 @@ func (s *Store) loadDecode(path, id string, verified bool) (*Pool, error) {
 		hasher = sha256.New()
 		r = io.TeeReader(f, hasher)
 	}
-	// Header: read the v1 prefix, then the v2 pad if the magic says so.
-	hdr := make([]byte, codecHeaderSizeV1, codecHeaderSize)
+	hdr := make([]byte, codecHeaderSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("poolstore: pool %q: short pool file: %w", id, err)
-	}
-	if string(hdr[:8]) == codecMagic {
-		hdr = hdr[:codecHeaderSize]
-		if _, err := io.ReadFull(r, hdr[codecHeaderSizeV1:]); err != nil {
-			return nil, fmt.Errorf("poolstore: pool %q: short pool file: %w", id, err)
-		}
 	}
 	lay, err := parseHeader(hdr, int(info.Size()))
 	if err != nil {

@@ -3,7 +3,6 @@ package poolstore
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -76,70 +75,6 @@ func TestMmapAndDecodePathsByteIdentical(t *testing.T) {
 	}
 }
 
-// encodeV1 builds the legacy OASISPL1 encoding (20-byte header, misaligned
-// scores) that pre-PR7 stores wrote: the read-compat and fallback tests feed
-// it to the current store.
-func encodeV1(t *testing.T, scores []float64, preds []bool) []byte {
-	t.Helper()
-	n := len(scores)
-	buf := make([]byte, 0, codecHeaderSizeV1+sectionsSize(n))
-	buf = append(buf, codecMagicV1...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	scoresOff := len(buf)
-	for _, s := range scores {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[scoresOff:], castagnoli))
-	predsOff := len(buf)
-	buf = append(buf, make([]byte, (n+7)/8)...)
-	for i, p := range preds {
-		if p {
-			buf[predsOff+i/8] |= 1 << (i % 8)
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[predsOff:], castagnoli))
-	return buf
-}
-
-// TestV1FilesStillLoad pins the read-compat contract: a pool file written in
-// the v1 format keeps its v1 content address and still loads — through the
-// decode path, never the mmap alias (its scores section is misaligned).
-func TestV1FilesStillLoad(t *testing.T) {
-	scores, preds := testColumns(513, 3)
-	encoded := encodeV1(t, scores, preds)
-	id := contentID(encoded)
-	dir := t.TempDir()
-	if err := os.WriteFile(dir+"/"+id+poolFileSuffix, encoded, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Len(); got != 1 {
-		t.Fatalf("indexed %d pools, want 1 (v1 file not recognised?)", got)
-	}
-	p, err := s.Acquire(id)
-	if err != nil {
-		t.Fatalf("acquire v1 pool: %v", err)
-	}
-	defer s.Release(id)
-	for i := range scores {
-		if p.Scores[i] != scores[i] || p.Preds[i] != preds[i] {
-			t.Fatalf("v1 column mismatch at %d", i)
-		}
-	}
-	info, err := s.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Mapped {
-		t.Fatal("v1 pool must take the decode path, not the mmap alias")
-	}
-}
-
 // TestVerifyOncePerOpen pins the verification policy: the SHA-256 content
 // check runs on the first load after a store opens; a warm reacquire after
 // eviction re-checks only the section CRCs. Observable because a tampered
@@ -174,8 +109,8 @@ func TestVerifyOncePerOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c[lay.scoresOff] ^= 0x01
-	binary.LittleEndian.PutUint32(c[lay.scoresEnd():], crc32.Checksum(c[lay.scoresOff:lay.scoresEnd()], castagnoli))
+	c[codecHeaderSize] ^= 0x01
+	binary.LittleEndian.PutUint32(c[lay.scoresEnd():], crc32.Checksum(c[codecHeaderSize:lay.scoresEnd()], castagnoli))
 	if err := os.WriteFile(path, c, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -149,12 +149,15 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 			sw.Header().Set("X-Request-ID", reqID)
 		}
 		tr := s.startTrace(r, seq)
+		// http.handle spans the root exactly: it opens at the trace's clock
+		// origin and the root duration is its end offset, so the middleware's
+		// own prologue and epilogue never leave a hole in the timeline.
+		hsp := tr.Begin("server", "http.handle")
 		req := r
 		if tr != nil {
 			sw.Header().Set("Traceparent", trace.Traceparent(tr.ID(), tr.RootSpanID(), trace.FlagSampled))
 			req = r.WithContext(trace.NewContext(r.Context(), tr))
 		}
-		hsp := tr.Start("server", "http.handle")
 		if s.profLabels {
 			pprof.Do(req.Context(), pprof.Labels("route", pattern), func(ctx context.Context) {
 				h(sw, req.WithContext(ctx))
@@ -162,7 +165,7 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 		} else {
 			h(sw, req)
 		}
-		hsp.End()
+		rootDur := hsp.End()
 		d := time.Since(start)
 		slow := s.slowReq > 0 && d >= s.slowReq
 		if s.met != nil {
@@ -187,11 +190,8 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 			}
 		}
 		if tr != nil {
-			// The trace's root duration runs from its own clock start, not
-			// the middleware's, so span offsets line up with the root span
-			// without a prologue hole.
 			tr.SetRequest(pattern, reqID, sw.status())
-			s.trc.Finish(tr, tr.Elapsed(), sw.status() >= 500)
+			s.trc.Finish(tr, rootDur, sw.status() >= 500)
 		}
 		if s.accessLog != nil {
 			marks := ""

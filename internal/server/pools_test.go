@@ -6,7 +6,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,7 +120,7 @@ func TestPoolUploadAndSharedSessions(t *testing.T) {
 }
 
 func TestPoolBinaryUpload(t *testing.T) {
-	c, _, _ := newPoolServer(t)
+	c, _, store := newPoolServer(t)
 	scores, preds := poolColumns(900, 9)
 	encoded, err := poolstore.Encode(scores, preds)
 	if err != nil {
@@ -145,6 +148,28 @@ func TestPoolBinaryUpload(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("corrupt binary upload: status %d", resp2.StatusCode)
+	}
+	// A retired OASISPL1 body (v1 magic, valid header CRC, no pad bytes) is
+	// refused with 400 and registers nothing: storing it would give the pool
+	// a second content address.
+	other, err := poolstore.Encode(poolColumns(50, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte("OASISPL1"), other[8:16]...)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, crc32.MakeTable(crc32.Castagnoli)))
+	v1 = append(v1, other[24:]...)
+	resp3, err := c.http.Post(c.base+"/v1/pools", "application/octet-stream", bytes.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp3.Body.Close()
+	body, _ := io.ReadAll(resp3.Body)
+	if resp3.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unsupported pool format") {
+		t.Fatalf("OASISPL1 upload: status %d, body %s", resp3.StatusCode, body)
+	}
+	if n := store.Len(); n != 1 {
+		t.Fatalf("store holds %d pools after the OASISPL1 upload, want 1", n)
 	}
 }
 

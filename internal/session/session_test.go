@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +130,12 @@ func TestConcurrentProposeCommit(t *testing.T) {
 				if err != nil {
 					t.Error(err)
 					return
+				}
+				if len(props) == 0 {
+					// The rest of the budget is leased to other workers; let
+					// them run and commit instead of burning this worker's
+					// spin allowance inside one scheduler slice.
+					runtime.Gosched()
 				}
 				for _, pr := range props {
 					if err := s.Commit(pr.Pair, truth[pr.Pair]); err != nil {

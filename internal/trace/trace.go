@@ -294,17 +294,6 @@ func NewTrace(id TraceID, root, remote SpanID, maxSpans int) *Trace {
 	return t
 }
 
-// Elapsed returns the time since the trace's monotonic start — the root
-// span's wall time while the request is still in flight, and the duration
-// to hand Finish so recorded spans line up with the root without a
-// middleware-prologue hole.
-func (t *Trace) Elapsed() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}
-
 // ID returns the trace identifier (zero for a nil trace).
 func (t *Trace) ID() TraceID {
 	if t == nil {
@@ -352,6 +341,18 @@ func (t *Trace) Start(layer, name string) Span {
 	t.n = i + 1
 	t.cur = i
 	return Span{t: t, i: i}
+}
+
+// Begin is Start for the request-wide span: it opens at the trace's clock
+// origin (offset 0) instead of now, so nothing the caller does between
+// creating the trace and opening the span sits outside it. Handing its
+// End offset to Collector.Finish makes it cover the root span exactly.
+func (t *Trace) Begin(layer, name string) Span {
+	sp := t.Start(layer, name)
+	if sp.t != nil {
+		sp.t.spans[sp.i].start = 0
+	}
+	return sp
 }
 
 // AddSpan records an already-measured span of the given duration ending
@@ -428,19 +429,22 @@ func itoa(v int64) string {
 	return string(b[i:])
 }
 
-// End closes the span, stamping its duration. Closing out of order is
+// End closes the span, stamping its duration, and returns its end offset
+// from the trace's start (0 for an inert span). Closing out of order is
 // tolerated: the open-span cursor only pops when the ended span is the
 // innermost one, so a leaked child mis-parents later spans rather than
 // corrupting the array.
-func (s Span) End() {
+func (s Span) End() time.Duration {
 	if s.t == nil {
-		return
+		return 0
 	}
 	sp := &s.t.spans[s.i]
-	sp.dur = time.Since(s.t.start) - sp.start
+	end := time.Since(s.t.start)
+	sp.dur = end - sp.start
 	if s.t.cur == s.i {
 		s.t.cur = sp.parent
 	}
+	return end
 }
 
 // SetRequest stamps the request annotations (route pattern, request ID,

@@ -171,10 +171,29 @@ func TestAddSpanRetroactive(t *testing.T) {
 	}
 }
 
+// TestBeginCoversRoot pins the no-hole construction the server middleware
+// relies on: a Begin span opens at the trace's clock origin, however late
+// it is called, and finishing the trace with its End offset makes it cover
+// the root span exactly.
+func TestBeginCoversRoot(t *testing.T) {
+	c := NewCollector(Options{})
+	tr := c.New(MakeTraceID(7, 4), MakeSpanID(7, 4), SpanID{})
+	time.Sleep(time.Millisecond) // a slow prologue before the span opens
+	h := tr.Begin("server", "http.handle")
+	tr.Start("session", "session.propose").End()
+	c.Finish(tr, h.End(), false)
+	out := tr.Export()
+	if sp := out.Spans[0]; sp.StartUs != 0 || sp.DurUs != out.DurationUs || sp.DurUs < 1000 {
+		t.Fatalf("Begin span starts at %vµs, lasts %vµs; root lasts %vµs", sp.StartUs, sp.DurUs, out.DurationUs)
+	}
+}
+
 func TestNilTraceIsInert(t *testing.T) {
 	var tr *Trace
 	sp := tr.Start("server", "x").Attr("k", "v").AttrInt("n", 1)
-	sp.End()
+	if sp.End() != 0 || tr.Begin("server", "y").End() != 0 {
+		t.Error("inert span End returned a non-zero offset")
+	}
 	tr.AddSpan("wal", "y", time.Second)
 	tr.SetRequest("/x", "id", 200)
 	if tr.Dropped() != 0 || !tr.ID().IsZero() || !tr.RootSpanID().IsZero() {

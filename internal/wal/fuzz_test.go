@@ -19,15 +19,14 @@ func fuzzMeta(tb testing.TB, dir string) {
 	}
 }
 
-// FuzzWALReplay throws arbitrary bytes at the replay path as segment files —
-// both as a legacy v1 single-stream segment and as lane 0 of a two-lane v2
-// journal: Open must never panic or over-allocate, whatever the framing,
-// shard tags, JSON or event semantics of the input — at worst it returns an
-// error. The seed corpus is a real little two-shard log (create / propose /
-// commit / release / restart records across two lanes) plus hand-built
-// hostile frames — mixed-lane torn tails, an out-of-range shard tag, a
-// record tagged for the other lane — so mutations explore the deep replay
-// paths, not just the CRC gate.
+// FuzzWALReplay throws arbitrary bytes at the replay path as lane 0 of a
+// two-lane journal: Open must never panic or over-allocate, whatever the
+// framing, shard tags, JSON or event semantics of the input — at worst it
+// returns an error. The seed corpus is a real little two-shard log (create /
+// propose / commit / release / restart records across two lanes) plus
+// hand-built hostile frames — mixed-lane torn tails, an out-of-range shard
+// tag, a record tagged for the other lane — so mutations explore the deep
+// replay paths, not just the CRC gate.
 func FuzzWALReplay(f *testing.F) {
 	seedDir := f.TempDir()
 	mgr := session.NewManager(session.ManagerOptions{Shards: 2})
@@ -105,15 +104,8 @@ func FuzzWALReplay(f *testing.F) {
 		})
 		defer timer.Stop()
 
-		// Variant 1: the bytes as a legacy v1 single-stream segment.
-		legacyDir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(legacyDir, legacySegmentName(1)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		exercise(t, legacyDir, 1)
-
-		// Variant 2: the bytes as lane 0 of a two-lane v2 journal (lane 1
-		// present but empty, as after a crash at first boot).
+		// The bytes as lane 0 of a two-lane journal (lane 1 present but
+		// empty, as after a crash at first boot).
 		laneDir := t.TempDir()
 		fuzzMeta(t, laneDir)
 		if err := os.WriteFile(filepath.Join(laneDir, segmentName(0, 1)), data, 0o644); err != nil {
@@ -122,15 +114,15 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(laneDir, segmentName(1, 1)), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		exercise(t, laneDir, 2)
+		exercise(t, laneDir)
 	})
 }
 
 // exercise opens the journal and, if it recovers, checks the recovered
 // state is coherent and the journal still closes cleanly.
-func exercise(t *testing.T, dir string, shards int) {
+func exercise(t *testing.T, dir string) {
 	t.Helper()
-	mgr := session.NewManager(session.ManagerOptions{Shards: shards})
+	mgr := session.NewManager(session.ManagerOptions{Shards: 2})
 	j, err := Open(dir, mgr, Options{Fsync: "off"})
 	if err != nil {
 		return // rejected: fine, as long as it did not panic

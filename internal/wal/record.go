@@ -10,7 +10,8 @@ import (
 	"strings"
 )
 
-// Segment framing, version 2 (the sharded-lane format). Each record is
+// Segment framing, version 2 (the sharded-lane format, the only one this
+// package reads or writes). Each record is
 //
 //	uint32 little-endian payload length
 //	uint32 little-endian CRC-32C (Castagnoli) of the 4 extension bytes + payload
@@ -27,17 +28,11 @@ import (
 // write and drops it; the same damage anywhere else is real corruption and
 // fatal, and a CRC-valid record whose version or shard tag is out of range
 // is rejected outright (never silently merged).
-//
-// Version 1 (the pre-shard format) had an 8-byte header — length + CRC of
-// the payload alone — and a single un-tagged segment stream. Old journals
-// remain read-compatible: Open detects them by file name and upgrades in
-// place (see the legacy path in recover).
 
 const (
-	recordHeaderSizeV1 = 8
-	recordHeaderSize   = 12
-	// recordVersion is the current record format version, bumped from the
-	// implicit v1 when lanes and shard tags were added to the header.
+	recordHeaderSize = 12
+	// recordVersion is the record and directory format version; version 1
+	// journals (no lanes, no shard tags) are refused at Open by file name.
 	recordVersion = 2
 	// maxRecordSize bounds one record's payload; an inline create event (no
 	// pool store attached) embeds the session's whole pool, so the cap is
@@ -120,45 +115,6 @@ func scanRecords(data []byte, lanes int, fn func(shard int, payload []byte) erro
 	}
 }
 
-// appendRecordV1 frames payload in the legacy v1 format (8-byte header, CRC
-// of the payload alone). The live writer no longer produces it; tests use it
-// to build old-format journals for the read-compatibility path.
-func appendRecordV1(buf, payload []byte) []byte {
-	var hdr [recordHeaderSizeV1]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	return append(append(buf, hdr[:]...), payload...)
-}
-
-// scanRecordsV1 walks legacy v1 framed records (see scanRecords for the
-// contract). Legacy records carry no shard tag; replay routes them by the
-// session ID in the payload.
-func scanRecordsV1(data []byte, fn func(payload []byte) error) (consumed int, torn bool, err error) {
-	off := 0
-	for {
-		rest := len(data) - off
-		if rest == 0 {
-			return off, false, nil
-		}
-		if rest < recordHeaderSizeV1 {
-			return off, true, nil
-		}
-		n := binary.LittleEndian.Uint32(data[off : off+4])
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n == 0 || n > maxRecordSize || int(n) > rest-recordHeaderSizeV1 {
-			return off, true, nil
-		}
-		payload := data[off+recordHeaderSizeV1 : off+recordHeaderSizeV1+int(n)]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return off, true, nil
-		}
-		if err := fn(payload); err != nil {
-			return off, false, err
-		}
-		off += recordHeaderSizeV1 + int(n)
-	}
-}
-
 // hasValidRecordAfter reports whether a complete, CRC-valid v2 record begins
 // at any byte offset past the start of data (offset 0 is the frame that
 // already failed). A crash-torn tail always extends to end of file — a
@@ -183,29 +139,14 @@ func hasValidRecordAfter(data []byte) bool {
 	return false
 }
 
-// hasValidRecordAfterV1 is hasValidRecordAfter for legacy v1 segments.
-func hasValidRecordAfterV1(data []byte) bool {
-	for off := 1; off+recordHeaderSizeV1 <= len(data); off++ {
-		n := binary.LittleEndian.Uint32(data[off : off+4])
-		if n == 0 || n > maxRecordSize || off+recordHeaderSizeV1+int(n) > len(data) {
-			continue
-		}
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if crc32.Checksum(data[off+recordHeaderSizeV1:off+recordHeaderSizeV1+int(n)], castagnoli) == crc {
-			return true
-		}
-	}
-	return false
-}
-
 // File naming. Version 2 journals multiplex N lanes under one directory:
 // lane segments are wal-<3-digit lane>-<16-digit index>.log and per-lane
 // compaction snapshots snap-<3-digit lane>-<16-digit boundary>.json, where
 // the boundary is the first segment of that lane NOT folded into the
 // snapshot. wal-meta.json records the journal's format version and lane
-// count; it is the upgrade commit marker (see recover). Legacy v1 journals
-// named their single segment stream wal-<16-digit index>.log and snapshots
-// snap-<16-digit boundary>.json.
+// count. Version 1 journals named their single segment stream
+// wal-<16-digit index>.log and snapshots snap-<16-digit boundary>.json;
+// isV1Name recognises those names so Open can refuse them.
 const (
 	segmentPrefix  = "wal-"
 	segmentSuffix  = ".log"
@@ -222,25 +163,16 @@ func snapshotName(lane int, idx uint64) string {
 	return fmt.Sprintf("snap-%03d-%016d.json", lane, idx)
 }
 
-func legacySegmentName(idx uint64) string { return fmt.Sprintf("wal-%016d.log", idx) }
-
-func legacySnapshotName(idx uint64) string { return fmt.Sprintf("snap-%016d.json", idx) }
-
-// parseIndexed extracts the numeric index from a prefixed/suffixed legacy
-// file name, reporting whether the name matched.
-func parseIndexed(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
+// isV1Name reports whether name is a version 1 segment (wal-<n>.log) or
+// snapshot (snap-<n>.json): the un-lane-qualified names Open refuses.
+func isV1Name(name string) bool {
+	for _, p := range [...][2]string{{segmentPrefix, segmentSuffix}, {snapshotPrefix, snapshotSuffix}} {
+		if strings.HasPrefix(name, p[0]) && strings.HasSuffix(name, p[1]) {
+			_, err := strconv.ParseUint(name[len(p[0]):len(name)-len(p[1])], 10, 64)
+			return err == nil
+		}
 	}
-	mid := name[len(prefix) : len(name)-len(suffix)]
-	if strings.Contains(mid, "-") {
-		return 0, false // a lane-qualified v2 name, not a legacy one
-	}
-	idx, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return idx, true
+	return false
 }
 
 // parseLaneIndexed extracts (lane, index) from a v2 lane-qualified file
@@ -266,8 +198,8 @@ func parseLaneIndexed(name, prefix, suffix string) (lane int, idx uint64, ok boo
 }
 
 // metaFile is the on-disk form of wal-meta.json: the journal's format
-// version and its fixed lane count. The lane count is chosen when the
-// journal is created (or upgraded from v1) and never changes — a session's
+// version (always recordVersion) and its fixed lane count. The lane count
+// is chosen when the journal is created and never changes — a session's
 // records must all live in one lane for per-lane replay to preserve its
 // event order, so re-sharding an existing journal is refused at Open.
 type metaFile struct {
