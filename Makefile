@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test test-stress race bench bench-json bench-smoke fuzz-smoke metrics-smoke trace-smoke diag-smoke serve serve-wal serve-metrics example clean
+.PHONY: build vet fmt-check test test-stress race bench bench-smoke fuzz-smoke metrics-smoke trace-smoke diag-smoke serve serve-wal serve-metrics example clean
 
 build:
 	$(GO) build ./...
@@ -38,16 +38,6 @@ bench:
 # streaming decode).
 HOT_BENCH = BenchmarkDraw$$|BenchmarkDrawCommit$$|BenchmarkInstrumental$$|BenchmarkProposeBatch|BenchmarkProposeCommit$$|BenchmarkServerPropose$$|BenchmarkCommitDurable|BenchmarkManagerParallel|BenchmarkServerProposeParallel|BenchmarkSessionCreate|BenchmarkPoolAcquire
 HOT_BENCH_PKGS = ./internal/core ./internal/server ./internal/wal ./internal/poolstore .
-
-# Run the hot-path microbenchmarks and append the results to the
-# BENCH_core.json perf trajectory (label with OASIS_BENCH_LABEL). The
-# benchmark run and the conversion are separate steps so a failing
-# benchmark aborts the target instead of recording a partial run.
-bench-json:
-	$(GO) test -run '^$$' -bench '$(HOT_BENCH)' -benchmem $(HOT_BENCH_PKGS) > bench-json.out \
-		|| { cat bench-json.out; rm -f bench-json.out; exit 1; }
-	$(GO) run ./cmd/benchjson -out BENCH_core.json -label "$${OASIS_BENCH_LABEL:-dev}" < bench-json.out
-	rm -f bench-json.out
 
 # One-iteration smoke run of the hot-path microbenchmarks (CI).
 bench-smoke:
@@ -91,9 +81,11 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzBinaryProtocol$$' -fuzztime 20s -fuzzminimizetime 10x
 
-# Run the evaluation service with restart-safe session snapshots.
+# Run the evaluation service on the write-ahead label journal without
+# per-commit fsync: kill -9 safe, and a graceful shutdown compacts the
+# journal so the next boot replays no events.
 serve:
-	$(GO) run ./cmd/oasis-server -addr :8080 -snapshot oasis-state.json
+	$(GO) run ./cmd/oasis-server -addr :8080 -wal oasis-wal -fsync off -compact-every 10m
 
 # Run the evaluation service with the durable write-ahead label journal:
 # kill -9 safe, acknowledged labels survive crashes.
@@ -111,4 +103,4 @@ example:
 	$(GO) run ./examples/serverclient
 
 clean:
-	rm -rf oasis-state.json bench-json.out oasis-wal
+	rm -rf oasis-wal

@@ -275,17 +275,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	// Phase 2: restart from the WAL; the recovered sampler must continue
 	// the exact sequence the uninterrupted reference produces.
 	cmd2, addr2 := startServer(t, bin, "-addr", "127.0.0.1:0", "-wal", walDir, "-fsync", "always", "-shards", "4")
-	defer func() {
-		cmd2.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { cmd2.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			cmd2.Process.Kill()
-			cmd2.Wait()
-		}
-	}()
+	defer interrupt(cmd2)
 	base2 := "http://" + addr2
 
 	var st session.Status
@@ -353,6 +343,79 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		}
 	}
 	t.Logf("kill -9 + WAL recovery reproduced %d proposals (inline + poolref) and both estimates exactly", 2*totalRounds*batch)
+
+	// Phase 3: graceful restart. Lease a batch, read both estimates, stop
+	// the recovered server with SIGINT: its shutdown compacts every lane, so
+	// a third server on the same journal boots from the lane snapshots
+	// alone, replays no events, and serves the same state — except the
+	// lease, which the boot drops.
+	var leased server.ProposeResponse
+	if code := getJSON(t, base2+"/v1/sessions/e2e/propose?n=4", &leased); code != http.StatusOK || len(leased.Proposals) != 4 {
+		t.Fatalf("lease before shutdown: status %d, %d proposals", code, len(leased.Proposals))
+	}
+	before := map[string]session.Status{}
+	for _, id := range []string{"e2e", "e2e-pool"} {
+		if code := getJSON(t, base2+"/v1/sessions/"+id+"/estimate", &st); code != http.StatusOK {
+			t.Fatalf("estimate %s before shutdown: status %d", id, code)
+		}
+		before[id] = st
+	}
+	if err := interrupt(cmd2); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+	cmd3, addr3 := startServer(t, bin, "-addr", "127.0.0.1:0", "-wal", walDir, "-fsync", "always", "-shards", "4")
+	defer interrupt(cmd3)
+	base3 := "http://" + addr3
+	if code := getJSON(t, base3+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats after graceful restart: status %d", code)
+	}
+	if stats.WAL == nil || !stats.WAL.ReplaySnapshot || stats.WAL.ReplayApplied != 0 {
+		t.Fatalf("graceful restart did not boot from compacted snapshots alone: %+v", stats.WAL)
+	}
+	for id, want := range before {
+		if code := getJSON(t, base3+"/v1/sessions/"+id+"/estimate", &st); code != http.StatusOK {
+			t.Fatalf("estimate %s after graceful restart: status %d", id, code)
+		}
+		if st.LabelsCommitted != want.LabelsCommitted {
+			t.Fatalf("%s: %d labels after graceful restart, want %d", id, st.LabelsCommitted, want.LabelsCommitted)
+		}
+		if st.Estimate == nil || want.Estimate == nil || *st.Estimate != *want.Estimate {
+			t.Fatalf("%s: estimate %v after graceful restart, %v before", id, st.Estimate, want.Estimate)
+		}
+	}
+	req := server.LabelsRequest{}
+	for _, p := range leased.Proposals {
+		req.Labels = append(req.Labels, server.Label{Pair: p.Pair, Label: truth[p.Pair]})
+	}
+	var lr server.LabelsResponse
+	if code := postJSON(t, base3+"/v1/sessions/e2e/labels", req, &lr); code != http.StatusOK || lr.Committed != 0 {
+		t.Fatalf("labels for a pre-restart lease: status %d, committed %d", code, lr.Committed)
+	}
+	for _, r := range lr.Results {
+		if r.Status != "expired" {
+			t.Fatalf("pre-restart lease for pair %d answered %q, want \"expired\"", r.Pair, r.Status)
+		}
+	}
+}
+
+// interrupt stops a server with SIGINT and waits for it to exit, killing it
+// after 10s. It returns the exit error: nil for a clean exit, or when the
+// process was already reaped.
+func interrupt(cmd *exec.Cmd) error {
+	if cmd.ProcessState != nil {
+		return nil
+	}
+	cmd.Process.Signal(os.Interrupt)
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		cmd.Process.Kill()
+		<-done
+		return fmt.Errorf("no exit within 10s of SIGINT")
+	}
 }
 
 // getRaw fetches a URL and returns the body as text.

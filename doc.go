@@ -139,13 +139,12 @@
 // internal/server (BenchmarkServerPropose), internal/wal
 // (BenchmarkCommitDurable, the WAL durability tax per fsync policy) and
 // internal/poolstore (BenchmarkPoolAcquire, cold load via mmap vs decode).
-// `make bench-json` runs them and
-// appends a labelled run to BENCH_core.json — the perf trajectory every
-// change is judged against; `make bench-smoke` is the 1-iteration CI guard.
-// The paper-scale experiment benchmarks in bench_test.go are scaled by the
-// OASIS_BENCH_SCALE / OASIS_BENCH_RUNS / OASIS_BENCH_SEED environment
-// variables, and `make bench-json` honours OASIS_BENCH_LABEL for the run
-// label.
+// `make bench-smoke` is their 1-iteration CI guard, and BENCH_core.json
+// holds their frozen single-sample history. The end-to-end benchmark, with
+// repeated runs and a per-layer ledger, is the perfbench module
+// (perfbench/run.sh). The paper-scale experiment benchmarks in
+// bench_test.go are scaled by the OASIS_BENCH_SCALE / OASIS_BENCH_RUNS /
+// OASIS_BENCH_SEED environment variables.
 //
 // The evaluation service is observable end to end: cmd/oasis-server serves
 // Prometheus text exposition at GET /metrics (built on the dependency-free

@@ -3,8 +3,8 @@ package core
 // Microbenchmarks for the sampler hot path: Draw (steady state, no
 // intervening commits — the batched-proposal case) and Draw+Commit (the
 // fully adaptive sequential case, which rebuilds the instrumental
-// distribution once per label). These are the numbers `make bench-json`
-// tracks in BENCH_core.json.
+// distribution once per label). BENCH_core.json holds their frozen
+// history.
 
 import (
 	"testing"

@@ -2,8 +2,8 @@ package server
 
 // BenchmarkServerPropose measures the end-to-end HTTP hot path of the
 // evaluation service: lease a batch of 64 pairs, then commit their labels.
-// One benchmark op is one propose + one labels round trip. Tracked in
-// BENCH_core.json via `make bench-json`.
+// One benchmark op is one propose + one labels round trip. BENCH_core.json
+// holds its frozen history.
 
 import (
 	"bufio"
@@ -52,8 +52,8 @@ func benchPool(n int, seed uint64) (scores []float64, preds, truth []bool) {
 // the PR6 acceptance gate holds it within 5% of metrics-off, and the
 // traced variant (tracing at the default head-sample rate) is held to the
 // same budget against shards=8 — an unsampled request must cost nothing
-// but an atomic increment and two compares. Tracked in BENCH_core.json
-// via `make bench-json` alongside the single-worker BenchmarkServerPropose
+// but an atomic increment and two compares. Its frozen history sits in
+// BENCH_core.json alongside the single-worker BenchmarkServerPropose
 // baseline.
 func BenchmarkServerProposeParallel(b *testing.B) {
 	scores, preds, truth := benchPool(50_000, 5)

@@ -311,11 +311,9 @@ func (s *Server) collect(emit obs.Emit) {
 	emit("go_gc_pause_seconds_total", float64(ms.PauseTotalNs)/1e9)
 
 	diagMem := 0
-	for shard := 0; shard < s.mgr.Shards(); shard++ {
-		sessions := s.mgr.Sessions(shard)
-		emit("oasis_sessions", float64(len(sessions)), obs.Label{Name: "shard", Value: strconv.Itoa(shard)})
-		for _, sess := range sessions {
-			h := sess.SamplerHealth()
+	for shard, hs := range s.sessionHealth() {
+		emit("oasis_sessions", float64(len(hs)), obs.Label{Name: "shard", Value: strconv.Itoa(shard)})
+		for _, h := range hs {
 			sl := obs.Label{Name: "session", Value: h.ID}
 			ml := obs.Label{Name: "method", Value: string(h.Method)}
 			emit("oasis_sampler_estimate", h.Estimate, sl, ml)
@@ -327,7 +325,7 @@ func (s *Server) collect(emit obs.Emit) {
 			emit("oasis_sampler_label_budget", float64(h.Budget), sl, ml)
 			emit("oasis_sampler_pending_proposals", float64(h.PendingProposals), sl, ml)
 			emit("oasis_sampler_health_state", float64(h.State), sl, ml)
-			diagMem += sess.DiagMemBytes()
+			diagMem += h.DiagMemBytes
 		}
 	}
 	emit("oasis_diag_series_mem_bytes", float64(diagMem))

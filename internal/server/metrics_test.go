@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -366,14 +367,15 @@ func sumFamily(f *metricFamily, contains ...string) float64 {
 // --- harness -----------------------------------------------------------
 
 // newMetricsTestServer wires a fully observable server: sharded manager
-// with session metrics, WAL with fsync=always and latency metrics, and
-// the /metrics endpoint.
-func newMetricsTestServer(t *testing.T, shards int) (*httptest.Server, *session.Manager) {
+// with session metrics (and the given clock; nil means time.Now), WAL with
+// fsync=always and latency metrics, and the /metrics endpoint.
+func newMetricsTestServer(t *testing.T, shards int, now func() time.Time) (*httptest.Server, *session.Manager) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	mgr := session.NewManager(session.ManagerOptions{
 		Shards:  shards,
 		Metrics: session.NewMetrics(reg, shards),
+		Now:     now,
 	})
 	j, err := wal.Open(t.TempDir(), mgr, wal.Options{Fsync: "always", Metrics: wal.NewMetrics(reg)})
 	if err != nil {
@@ -442,7 +444,7 @@ func runWorkload(t *testing.T, c *client, id string, rounds, batch int) int {
 // --- tests -------------------------------------------------------------
 
 func TestMetricsExposition(t *testing.T) {
-	ts, _ := newMetricsTestServer(t, 4)
+	ts, _ := newMetricsTestServer(t, 4, nil)
 	c := &client{t: t, base: ts.URL, http: ts.Client()}
 
 	// One OASIS session with an ID that needs label escaping, one passive
@@ -533,18 +535,43 @@ func keysOf(m map[string]float64) []string {
 }
 
 func TestMetricsStatsCrossCheck(t *testing.T) {
-	ts, mgr := newMetricsTestServer(t, 2)
+	var skew atomic.Int64
+	now := func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+	ts, mgr := newMetricsTestServer(t, 2, now)
 	c := &client{t: t, base: ts.URL, http: ts.Client()}
 	total := 0
 	for i := 0; i < 3; i++ {
 		total += runWorkload(t, c, fmt.Sprintf("cross-%d", i), 3, 8)
 	}
+	// Leave five leases outstanding, then move the clock past their TTL: a
+	// monitoring poll must read them without expiring them, so it neither
+	// journals releases nor counts expiries.
+	const leased = 5
+	var pr ProposeResponse
+	if code := c.do("GET", fmt.Sprintf("/v1/sessions/cross-0/propose?n=%d", leased), nil, &pr); code != http.StatusOK || len(pr.Proposals) != leased {
+		t.Fatalf("propose: status %d, %d proposals", code, len(pr.Proposals))
+	}
+	skew.Store(int64(2 * session.DefaultLeaseTTL))
+	before := parseExposition(t, scrape(t, ts))
 
 	var stats StatsResponse
 	if code := c.do("GET", "/v1/stats", nil, &stats); code != http.StatusOK {
 		t.Fatalf("stats: status %d", code)
 	}
+	var health HealthResponse
+	if code := c.do("GET", "/healthz", nil, &health); code != http.StatusOK {
+		t.Fatalf("healthz: status %d", code)
+	}
 	fams := parseExposition(t, scrape(t, ts))
+
+	for _, fam := range []string{"oasis_wal_records_appended_total", "oasis_session_lease_expiries_total"} {
+		if b, a := sumFamily(before[fam]), sumFamily(fams[fam]); a != b {
+			t.Errorf("%s moved %v -> %v across a /v1/stats and /healthz poll", fam, b, a)
+		}
+	}
+	if got := sumFamily(fams["oasis_sampler_pending_proposals"]); got != float64(stats.PendingProposals) || got != leased {
+		t.Errorf("scraped pending proposals = %v, stats says %d, want %d", got, stats.PendingProposals, leased)
+	}
 
 	if stats.LabelsCommitted != total {
 		t.Errorf("stats labelsCommitted = %d, want %d", stats.LabelsCommitted, total)
@@ -590,7 +617,7 @@ func TestMetricsStatsCrossCheck(t *testing.T) {
 // while scraping /metrics, /v1/stats and /healthz concurrently; run with
 // -race it is the detector for scrape-vs-hot-path races.
 func TestMetricsScrapeStress(t *testing.T) {
-	ts, _ := newMetricsTestServer(t, 4)
+	ts, _ := newMetricsTestServer(t, 4, nil)
 	c := &client{t: t, base: ts.URL, http: ts.Client()}
 	scores, preds, truth := benchPool(2000, 17)
 	const workers = 4

@@ -173,45 +173,6 @@ func TestPoolBinaryUpload(t *testing.T) {
 	}
 }
 
-// TestPoolDeleteBarrier: with a barrier installed (snapshot mode), the
-// hook runs before the removal — and a failing barrier aborts the delete.
-func TestPoolDeleteBarrier(t *testing.T) {
-	c, srv, store := newPoolServer(t)
-	scores, preds := poolColumns(50, 11)
-	var up PoolResponse
-	if code := c.do("POST", "/v1/pools", PoolUploadRequest{Scores: scores, Preds: preds}, &up); code != http.StatusCreated {
-		t.Fatalf("upload: status %d", code)
-	}
-	barrierRan := 0
-	srv.SetPoolDeleteBarrier(func() error {
-		barrierRan++
-		if store.Refs(up.PoolID) != 0 {
-			t.Error("barrier must run while the pool still exists")
-		}
-		if _, err := store.Get(up.PoolID); err != nil {
-			t.Error("barrier ran after the pool was removed")
-		}
-		return nil
-	})
-	if code := c.do("DELETE", "/v1/pools/"+up.PoolID, nil, nil); code != http.StatusNoContent {
-		t.Fatalf("delete: status %d", code)
-	}
-	if barrierRan != 1 {
-		t.Fatalf("barrier ran %d times, want 1", barrierRan)
-	}
-	// A failing barrier aborts the delete.
-	if code := c.do("POST", "/v1/pools", PoolUploadRequest{Scores: scores, Preds: preds}, &up); code != http.StatusCreated {
-		t.Fatalf("re-upload: status %d", code)
-	}
-	srv.SetPoolDeleteBarrier(func() error { return fmt.Errorf("disk full") })
-	if code := c.do("DELETE", "/v1/pools/"+up.PoolID, nil, nil); code != http.StatusInternalServerError {
-		t.Fatalf("delete with failing barrier: status %d", code)
-	}
-	if _, err := store.Get(up.PoolID); err != nil {
-		t.Fatal("failing barrier did not abort the removal")
-	}
-}
-
 func TestPoolEndpointsDisabledWithoutStore(t *testing.T) {
 	ts := httptest.NewServer(New(session.NewManager(session.ManagerOptions{})).Handler())
 	defer ts.Close()

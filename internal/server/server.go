@@ -82,11 +82,10 @@ const StatusClientClosedRequest = 499
 
 // Server is the HTTP front-end over a session.Manager.
 type Server struct {
-	mgr               *session.Manager
-	jrn               *wal.Journal
-	pools             *poolstore.Store
-	poolDeleteBarrier func() error
-	maxBody           int64
+	mgr     *session.Manager
+	jrn     *wal.Journal
+	pools   *poolstore.Store
+	maxBody int64
 
 	// Observability wiring (see metrics.go and tracing.go): the metrics
 	// registry behind GET /metrics, the structured access log with its
@@ -158,18 +157,6 @@ func (s *Server) SetMaxPropose(n int) {
 		s.maxPropose = n
 	}
 }
-
-// SetPoolDeleteBarrier installs a hook run before any pool is removed; a
-// hook error aborts the delete (500). Snapshot-mode servers use it to
-// persist a fresh snapshot first: once the barrier returns, no durable
-// state references the pool about to go, so a crash at any point can never
-// leave a snapshot that names a deleted pool. (WAL mode needs no barrier —
-// replay absolves create records for sessions the log later deletes.)
-func (s *Server) SetPoolDeleteBarrier(f func() error) { s.poolDeleteBarrier = f }
-
-// Manager returns the underlying session manager (e.g. for snapshotting at
-// shutdown).
-func (s *Server) Manager() *session.Manager { return s.mgr }
 
 // Handler builds the route table. The metrics registry and the access log
 // must be wired (EnableMetrics, SetAccessLog) before Handler is called:
@@ -269,13 +256,30 @@ type HealthResponse struct {
 	DegenerateSessions int `json:"degenerateSessions,omitempty"`
 }
 
-// degenerateSessions counts live sessions in the degenerate alarm state,
-// shard by shard.
+// sessionHealth reads every live session's SamplerHealth, indexed by shard,
+// walking each shard once. It is the one counter source behind /v1/stats,
+// /healthz and the /metrics collector. SamplerHealth never expires leases or
+// journals, so polling any of them leaves sessions, the lease-expiry
+// counters and the WAL untouched.
+func (s *Server) sessionHealth() [][]session.SamplerHealth {
+	out := make([][]session.SamplerHealth, s.mgr.Shards())
+	for shard := range out {
+		sessions := s.mgr.Sessions(shard)
+		hs := make([]session.SamplerHealth, len(sessions))
+		for i, sess := range sessions {
+			hs[i] = sess.SamplerHealth()
+		}
+		out[shard] = hs
+	}
+	return out
+}
+
+// degenerateSessions counts live sessions in the degenerate alarm state.
 func (s *Server) degenerateSessions() int {
 	n := 0
-	for shard := 0; shard < s.mgr.Shards(); shard++ {
-		for _, sess := range s.mgr.Sessions(shard) {
-			if sess.SamplerHealth().State == diag.StateDegenerate {
+	for _, hs := range s.sessionHealth() {
+		for _, h := range hs {
+			if h.State == diag.StateDegenerate {
 				n++
 			}
 		}
@@ -353,31 +357,30 @@ type RuntimeStats struct {
 }
 
 // stats aggregates shard by shard: each shard's sessions are snapshotted
-// under that shard's lock alone, so a stats poll never stops the world.
+// under that shard's lock alone, so a stats poll never stops the world. The
+// session figures come from sessionHealth, the same source as /metrics.
 func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
+	health := s.sessionHealth()
 	resp := StatsResponse{
 		Version:       s.version,
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Shards:        make([]ShardStats, s.mgr.Shards()),
+		Shards:        make([]ShardStats, len(health)),
 		Runtime:       readRuntimeStats(),
 	}
-	for shard := 0; shard < s.mgr.Shards(); shard++ {
-		ss := ShardStats{Shard: shard}
-		for _, st := range s.mgr.ListShard(shard) {
-			ss.Sessions++
-			ss.LabelsCommitted += st.LabelsCommitted
-			ss.PendingProposals += st.PendingProposals
+	for shard, hs := range health {
+		ss := ShardStats{Shard: shard, Sessions: len(hs)}
+		for _, h := range hs {
+			ss.LabelsCommitted += h.LabelsCommitted
+			ss.PendingProposals += h.PendingProposals
+			resp.Diagnostics.SeriesMemBytes += h.DiagMemBytes
+			if h.State == diag.StateDegenerate {
+				resp.Diagnostics.DegenerateSessions++
+			}
 		}
 		resp.Shards[shard] = ss
 		resp.Sessions += ss.Sessions
 		resp.LabelsCommitted += ss.LabelsCommitted
 		resp.PendingProposals += ss.PendingProposals
-		for _, sess := range s.mgr.Sessions(shard) {
-			resp.Diagnostics.SeriesMemBytes += sess.DiagMemBytes()
-			if sess.SamplerHealth().State == diag.StateDegenerate {
-				resp.Diagnostics.DegenerateSessions++
-			}
-		}
 	}
 	if s.jrn != nil {
 		st := s.jrn.Stats()
@@ -757,12 +760,6 @@ func (s *Server) getPool(w http.ResponseWriter, r *http.Request) {
 func (s *Server) deletePool(w http.ResponseWriter, r *http.Request) {
 	if !s.poolsEnabled(w) {
 		return
-	}
-	if s.poolDeleteBarrier != nil {
-		if err := s.poolDeleteBarrier(); err != nil {
-			writeError(w, http.StatusInternalServerError, "pool delete barrier: %v", err)
-			return
-		}
 	}
 	switch err := s.pools.Remove(r.PathValue("id")); {
 	case err == nil:

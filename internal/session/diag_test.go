@@ -75,7 +75,7 @@ func TestDiagnosticsSnapshotRoundTrip(t *testing.T) {
 		Now:  clock,
 		Diag: DiagOptions{SeriesCapacity: 16},
 	})
-	if err := m2.Restore(data); err != nil {
+	if err := m2.RestoreReplay(data); err != nil {
 		t.Fatal(err)
 	}
 	r, err := m2.Get("d")
@@ -105,8 +105,9 @@ func TestDiagnosticsSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiagnosticsScrapeWhileCommit hammers Diagnostics, SamplerHealth and
-// DiagMemBytes from scraper goroutines while workers propose and commit —
+// TestDiagnosticsScrapeWhileCommit hammers Diagnostics and SamplerHealth
+// (which carries the ring's DiagMemBytes) from scraper goroutines while
+// workers propose and commit —
 // the acceptance gate for go test -race over the diagnostics rings.
 func TestDiagnosticsScrapeWhileCommit(t *testing.T) {
 	scores, preds, truth := testPool(5000, 19)
@@ -142,7 +143,6 @@ func TestDiagnosticsScrapeWhileCommit(t *testing.T) {
 					return
 				}
 				_ = s.SamplerHealth()
-				_ = s.DiagMemBytes()
 			}
 		}()
 	}

@@ -516,7 +516,7 @@ func (m *Manager) SnapshotShard(shard int) ([]byte, error) {
 }
 
 // lockAll write-locks every shard in index order (the one lock ordering,
-// so concurrent Restores cannot deadlock).
+// so concurrent restores cannot deadlock).
 func (m *Manager) lockAll() {
 	for _, sh := range m.shards {
 		sh.mu.Lock()
@@ -529,32 +529,24 @@ func (m *Manager) unlockAll() {
 	}
 }
 
-// Restore registers every session in a Snapshot payload, resuming each
-// sampler exactly where it left off: estimates, posteriors, random streams
-// and outstanding proposals are bit-identical, with each leased pair
-// re-leased for one fresh TTL. Existing sessions with clashing IDs are an
-// error and abort the restore before any registration; any abort is
-// all-or-nothing — no session is registered and every pool-store reference
-// taken along the way is returned. Sessions land in the shard their ID
-// hashes to, so a snapshot taken at one shard count restores into a manager
-// with any other.
-func (m *Manager) Restore(data []byte) error {
-	return m.restore(data, false)
-}
-
-// RestoreReplay is Restore for WAL recovery: a session whose referenced
-// pool cannot be resolved is parked (see ErrPoolUnavailable) instead of
-// aborting the restore, because the un-replayed journal tail may hold the
-// delete that explains the missing pool — a session folded into a
-// compaction snapshot while live, then deleted, then its pool removed.
-// wal.Open fails the boot afterwards if any parked session was never
-// absolved (UnresolvedReplayCreates). Every other failure stays
-// all-or-nothing exactly as in Restore.
-func (m *Manager) RestoreReplay(data []byte) error {
-	return m.restore(data, true)
-}
-
-func (m *Manager) restore(data []byte, parkUnavailable bool) (err error) {
+// RestoreReplay registers every session in a Snapshot payload, resuming
+// each sampler exactly where it left off: estimates, posteriors, random
+// streams and outstanding proposals are bit-identical, with each leased pair
+// re-leased for one fresh TTL (WAL recovery then drops every lease at the
+// boot barrier). Sessions land in the shard their ID hashes to, so a
+// snapshot taken at one shard count restores into a manager with any other.
+//
+// A session whose referenced pool cannot be resolved is parked (see
+// ErrPoolUnavailable) instead of aborting the restore, because the
+// un-replayed journal tail may hold the delete that explains the missing
+// pool — a session folded into a compaction snapshot while live, then
+// deleted, then its pool removed. wal.Open fails the boot afterwards if any
+// parked session was never absolved (UnresolvedReplayCreates). Every other
+// failure is all-or-nothing: existing sessions with clashing IDs abort the
+// restore before any registration, and on any abort no session is
+// registered and every pool-store reference taken along the way is
+// returned.
+func (m *Manager) RestoreReplay(data []byte) (err error) {
 	var file snapshotFile
 	if err := json.Unmarshal(data, &file); err != nil {
 		return fmt.Errorf("session: bad snapshot: %w", err)
@@ -588,17 +580,10 @@ func (m *Manager) restore(data []byte, parkUnavailable bool) (err error) {
 	}
 	for _, snap := range file.Sessions {
 		s, err := newSession(context.Background(), snap.Config, m.opts.DefaultLeaseTTL, m.opts.Now, m.opts.Pools, m.opts.Diag)
-		if parkUnavailable && errors.Is(err, ErrPoolUnavailable) {
+		if errors.Is(err, ErrPoolUnavailable) {
 			// Park instead of aborting: tail replay may delete this session,
 			// absolving the missing pool; wal.Open checks for leftovers.
-			m.deadMu.Lock()
-			if m.dead == nil {
-				m.dead = make(map[string]error)
-			}
-			if _, seen := m.dead[snap.Config.ID]; !seen {
-				m.dead[snap.Config.ID] = err
-			}
-			m.deadMu.Unlock()
+			m.park(snap.Config.ID, err)
 			continue
 		}
 		if err != nil {
@@ -721,14 +706,7 @@ func (m *Manager) ReplayEvent(ev *Event) (bool, error) {
 			// later replayed delete absolves it, and wal.Open turns any
 			// unabsolved entry into the deterministic boot error via
 			// UnresolvedReplayCreates.
-			m.deadMu.Lock()
-			if m.dead == nil {
-				m.dead = make(map[string]error)
-			}
-			if _, seen := m.dead[ev.Session]; !seen {
-				m.dead[ev.Session] = err
-			}
-			m.deadMu.Unlock()
+			m.park(ev.Session, err)
 			return false, nil
 		}
 		if err != nil {
@@ -772,6 +750,19 @@ func (m *Manager) ReplayEvent(ev *Event) (bool, error) {
 		return s.replayEvent(ev)
 	default:
 		return false, fmt.Errorf("session: replay: unknown event type %q", ev.Type)
+	}
+}
+
+// park records a replayed session whose pool could not be resolved; the
+// first failure per ID is the one reported.
+func (m *Manager) park(id string, err error) {
+	m.deadMu.Lock()
+	defer m.deadMu.Unlock()
+	if m.dead == nil {
+		m.dead = make(map[string]error)
+	}
+	if _, seen := m.dead[id]; !seen {
+		m.dead[id] = err
 	}
 }
 

@@ -219,7 +219,7 @@ func TestSnapshotRestoreReacquiresPool(t *testing.T) {
 	}
 
 	mgr2 := NewManager(ManagerOptions{Pools: store})
-	if err := mgr2.Restore(data); err != nil {
+	if err := mgr2.RestoreReplay(data); err != nil {
 		t.Fatal(err)
 	}
 	if got := store.Refs(id); got != 2 { // original session + restored session
@@ -250,73 +250,52 @@ func TestSnapshotRestoreReacquiresPool(t *testing.T) {
 	}
 }
 
-// TestRestoreMissingPoolAllOrNothing: a snapshot referencing a pool the
-// store cannot resolve — unknown, deleted file, or corrupt — must restore
-// nothing: no sessions registered, no references leaked.
+// TestRestoreMissingPoolAllOrNothing: a snapshot referencing pools with no
+// pool store attached must restore nothing: no sessions registered.
 func TestRestoreMissingPoolAllOrNothing(t *testing.T) {
-	dir := t.TempDir()
-	store, err := poolstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores, preds, truth := testPool(500, 37)
-	putInfo, _, err := store.Put(scores, preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := putInfo.ID
-	mgr := NewManager(ManagerOptions{Pools: store})
-	// Two pool sessions (one with labels) plus an inline one: the inline
-	// session must not survive an abort either.
-	for i, cid := range []string{"p1", "p2"} {
-		s, err := mgr.Create(Config{ID: cid, PoolID: id, Calibrated: true, Options: oasis.Options{Strata: 6, Seed: uint64(i)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		props, err := s.Propose(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Commit(props[0].Pair, truth[props[0].Pair]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := mgr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(t *testing.T, store *poolstore.Store, wantErr string) {
-		t.Helper()
-		fresh := NewManager(ManagerOptions{Pools: store})
-		preRefs := store.Stats().Refs
-		err := fresh.Restore(data)
-		if err == nil || !strings.Contains(err.Error(), wantErr) {
-			t.Fatalf("restore: err = %v, want substring %q", err, wantErr)
-		}
-		if fresh.Len() != 0 {
-			t.Fatalf("aborted restore registered %d session(s)", fresh.Len())
-		}
-		if got := store.Stats().Refs; got != preRefs {
-			t.Fatalf("aborted restore leaked pool references: %d -> %d", preRefs, got)
-		}
-	}
-
-	t.Run("unknown id", func(t *testing.T) {
-		empty, err := poolstore.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, empty, "no such pool")
-	})
+	_, _, data := parkFixture(t)
 	t.Run("no store attached", func(t *testing.T) {
 		fresh := newTestManager(nil)
-		if err := fresh.Restore(data); err == nil || !strings.Contains(err.Error(), "no pool store") {
+		if err := fresh.RestoreReplay(data); err == nil || !strings.Contains(err.Error(), "no pool store") {
 			t.Fatalf("restore without store: err = %v", err)
 		}
 		if fresh.Len() != 0 {
 			t.Fatalf("aborted restore registered %d session(s)", fresh.Len())
 		}
+	})
+}
+
+// TestRestoreReplayParksUnresolvablePools: a snapshot referencing a pool the
+// store cannot resolve — unknown, truncated or hash-mismatched — parks its
+// sessions instead of aborting (a later journaled delete may absolve them):
+// nothing is registered, no reference leaks, and UnresolvedReplayCreates
+// names every parked session.
+func TestRestoreReplayParksUnresolvablePools(t *testing.T) {
+	dir, id, data := parkFixture(t)
+	check := func(t *testing.T, store *poolstore.Store) {
+		t.Helper()
+		fresh := NewManager(ManagerOptions{Pools: store})
+		preRefs := store.Stats().Refs
+		if err := fresh.RestoreReplay(data); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if fresh.Len() != 0 {
+			t.Fatalf("restore registered %d session(s) over an unresolvable pool", fresh.Len())
+		}
+		if got := store.Stats().Refs; got != preRefs {
+			t.Fatalf("parked restore leaked pool references: %d -> %d", preRefs, got)
+		}
+		err := fresh.UnresolvedReplayCreates()
+		if err == nil || !strings.Contains(err.Error(), `"p1"`) || !strings.Contains(err.Error(), `"p2"`) {
+			t.Fatalf("unresolved creates: %v, want both parked sessions named", err)
+		}
+	}
+	t.Run("unknown id", func(t *testing.T) {
+		empty, err := poolstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, empty)
 	})
 	t.Run("truncated pool file", func(t *testing.T) {
 		dir2 := t.TempDir()
@@ -331,7 +310,7 @@ func TestRestoreMissingPoolAllOrNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, damaged, id[:8])
+		check(t, damaged)
 	})
 	t.Run("hash mismatch", func(t *testing.T) {
 		dir2 := t.TempDir()
@@ -347,8 +326,44 @@ func TestRestoreMissingPoolAllOrNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, swapped, "content verification")
+		check(t, swapped)
 	})
+}
+
+// parkFixture snapshots two labelled sessions over one stored pool,
+// returning the store directory, the pool ID and the snapshot.
+func parkFixture(t *testing.T) (dir, id string, data []byte) {
+	t.Helper()
+	dir = t.TempDir()
+	store, err := poolstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores, preds, truth := testPool(500, 37)
+	putInfo, _, err := store.Put(scores, preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id = putInfo.ID
+	mgr := NewManager(ManagerOptions{Pools: store})
+	for i, cid := range []string{"p1", "p2"} {
+		s, err := mgr.Create(Config{ID: cid, PoolID: id, Calibrated: true, Options: oasis.Options{Strata: 6, Seed: uint64(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		props, err := s.Propose(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(props[0].Pair, truth[props[0].Pair]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err = mgr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, id, data
 }
 
 // TestCreateErrorPathsReleasePool: duplicate IDs and invalid configs must
@@ -408,7 +423,7 @@ func TestMemoryOnlyStoreDoesNotIntern(t *testing.T) {
 	// The self-contained snapshot restores into a fresh process whose
 	// memory-only store is empty.
 	fresh := NewManager(ManagerOptions{Pools: mustMemStore(t)})
-	if err := fresh.Restore(data); err != nil {
+	if err := fresh.RestoreReplay(data); err != nil {
 		t.Fatalf("restore of inline snapshot: %v", err)
 	}
 	// Explicit references against the memory-only store still resolve.

@@ -1,9 +1,10 @@
 package session
 
-// Error-path coverage for Manager.Restore: corrupt JSON, truncated
+// Error-path coverage for Manager.RestoreReplay: corrupt JSON, truncated
 // payloads, version skew and ID collisions must reject the snapshot and
-// leave the manager exactly as it was — oasis-server restores snapshots
-// from disk at startup, so a damaged file must never half-apply.
+// leave the manager exactly as it was — WAL recovery restores each lane's
+// compaction snapshot from disk at startup, so a damaged file must never
+// half-apply.
 
 import (
 	"fmt"
@@ -61,7 +62,7 @@ func requireUnmodified(t *testing.T, m *Manager, preEstimate float64) {
 
 func TestRestoreCorruptJSON(t *testing.T) {
 	m, pre := restoreFixture(t)
-	if err := m.Restore([]byte(`{"version": 1, "sessions": [{"config"`)); err == nil {
+	if err := m.RestoreReplay([]byte(`{"version": 1, "sessions": [{"config"`)); err == nil {
 		t.Fatal("restore accepted corrupt JSON")
 	}
 	requireUnmodified(t, m, pre)
@@ -74,7 +75,7 @@ func TestRestoreTruncatedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{1, len(data) / 2, len(data) - 3} {
-		if err := m.Restore(data[:cut]); err == nil {
+		if err := m.RestoreReplay(data[:cut]); err == nil {
 			t.Fatalf("restore accepted a payload truncated to %d of %d bytes", cut, len(data))
 		}
 	}
@@ -83,7 +84,7 @@ func TestRestoreTruncatedPayload(t *testing.T) {
 
 func TestRestoreBadVersion(t *testing.T) {
 	m, pre := restoreFixture(t)
-	if err := m.Restore([]byte(`{"version": 99, "sessions": []}`)); err == nil ||
+	if err := m.RestoreReplay([]byte(`{"version": 99, "sessions": []}`)); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Fatalf("restore of unsupported version: err = %v", err)
 	}
@@ -113,7 +114,7 @@ func TestRestoreClashingIDLeavesManagerUnmodified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Restore(data); err == nil {
+	if err := m.RestoreReplay(data); err == nil {
 		t.Fatal("restore accepted a snapshot with a clashing session ID")
 	}
 	if _, err := m.Get("innocent"); err == nil {
@@ -156,14 +157,14 @@ func TestRestoreRejectsBogusLeases(t *testing.T) {
 		fmt.Sprintf(`"leases":[%d,%d]`, leased, leased),
 		fmt.Sprintf(`"leases":[%d]`, labelled),
 	} {
-		if err := m.Restore([]byte(strings.Replace(string(data), orig, bad, 1))); err == nil {
+		if err := m.RestoreReplay([]byte(strings.Replace(string(data), orig, bad, 1))); err == nil {
 			t.Fatalf("restore accepted snapshot with %s", bad)
 		}
 	}
 	requireUnmodified(t, m, pre)
 
 	// The unmodified snapshot restores, lease intact and committable.
-	if err := m.Restore(data); err != nil {
+	if err := m.RestoreReplay(data); err != nil {
 		t.Fatal(err)
 	}
 	r, err := m.Get("leasy")
@@ -214,7 +215,7 @@ func TestRestoreCorruptSessionStateMidList(t *testing.T) {
 	if corrupt == string(data) {
 		t.Fatal("fixture snapshot has no labels map to corrupt")
 	}
-	if err := m.Restore([]byte(corrupt)); err == nil {
+	if err := m.RestoreReplay([]byte(corrupt)); err == nil {
 		t.Fatal("restore accepted a snapshot with corrupt session state")
 	}
 	if _, err := m.Get("a"); err == nil {

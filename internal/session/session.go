@@ -693,6 +693,9 @@ type SamplerHealth struct {
 	PoolSize           int
 	// State is the degeneracy alarm state (ok/degraded/degenerate).
 	State diag.HealthState
+	// DiagMemBytes is the fixed memory footprint of the session's
+	// diagnostics ring (0 when diagnostics are disabled).
+	DiagMemBytes int
 }
 
 // SamplerHealth reports the session's estimator health. Unlike Status it
@@ -717,6 +720,7 @@ func (s *Session) SamplerHealth() SamplerHealth {
 	}
 	if s.diag != nil {
 		sh.State = s.diag.State()
+		sh.DiagMemBytes = s.diag.MemBytes()
 	}
 	return sh
 }
@@ -784,15 +788,4 @@ func (s *Session) Diagnostics() Diagnostics {
 		d.Strata = sd.StratumDiagnostics()
 	}
 	return d
-}
-
-// DiagMemBytes returns the fixed memory footprint of the session's
-// diagnostics ring (0 when diagnostics are disabled).
-func (s *Session) DiagMemBytes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.diag == nil {
-		return 0
-	}
-	return s.diag.MemBytes()
 }

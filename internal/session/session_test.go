@@ -306,7 +306,7 @@ func TestSnapshotRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 			m2 := newTestManager(nil)
-			if err := m2.Restore(data); err != nil {
+			if err := m2.RestoreReplay(data); err != nil {
 				t.Fatal(err)
 			}
 			r, err := m2.Get("snap")
@@ -402,7 +402,7 @@ func TestRestoreRejectsDuplicateIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := newTestManager(nil)
-	if err := m2.Restore(doubled); err == nil {
+	if err := m2.RestoreReplay(doubled); err == nil {
 		t.Fatal("restore of duplicate-ID snapshot succeeded")
 	}
 	if m2.Len() != 0 {

@@ -5,7 +5,7 @@ package wal
 // whose manager journals to a real on-disk WAL. The fsync=always variant is
 // the full per-record durability cost (two appends + two fsyncs per op);
 // fsync=off isolates the journaling overhead itself (record framing, JSON,
-// one write(2) per event). Tracked in BENCH_core.json via `make bench-json`
+// one write(2) per event). Its frozen history sits in BENCH_core.json
 // alongside the journal-less BenchmarkProposeCommit baseline.
 
 import (
@@ -25,7 +25,7 @@ import (
 // — O(N) JSON per create), the poolref variant stores the pool once and
 // journals only its hash (O(1)). One benchmark op is one durable session
 // create; the custom walB/op metric is the WAL bytes the create record
-// cost. Tracked in BENCH_core.json via `make bench-json` (PR5-poolstore).
+// cost. BENCH_core.json holds its frozen history.
 func BenchmarkSessionCreate(b *testing.B) {
 	const pairs = 1 << 20
 	scores, preds, _ := walPool(pairs, 5)
@@ -121,8 +121,8 @@ func BenchmarkSessionCreate(b *testing.B) {
 // evenly across the shards, driven by 8 concurrent workers. At shards=1
 // every commit queues behind one lane lock and one fsync; at higher shard
 // counts the lanes append and sync concurrently, so throughput scales with
-// the shard count until the device or the cores saturate. Tracked in
-// BENCH_core.json via `make bench-json`; the acceptance bar for the
+// the shard count until the device or the cores saturate. BENCH_core.json
+// holds its frozen history; the acceptance bar for the
 // sharding refactor is ≥2× ops/s at shards=8 vs shards=1 on a multi-core
 // runner (a single-core box only gets the I/O-overlap share of that — its
 // ext4/virtio stack caps concurrent fsync near 2× — and measures ~1.6×).

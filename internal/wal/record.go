@@ -241,12 +241,11 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// WriteFileAtomic writes data to path through a temp file in the same
+// writeFileAtomic writes data to path through a temp file in the same
 // directory: write, fsync, rename into place, fsync the directory. The temp
 // file is removed on every failure path, so aborted writes leave no litter.
-// Used for WAL compaction snapshots and by cmd/oasis-server's -snapshot
-// persistence.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+// Used for the lane compaction snapshots and wal-meta.json.
+func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

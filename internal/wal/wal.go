@@ -477,7 +477,7 @@ func (j *Journal) writeMeta() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := WriteFileAtomic(filepath.Join(j.dir, metaName), data, 0o644); err != nil {
+	if err := writeFileAtomic(filepath.Join(j.dir, metaName), data, 0o644); err != nil {
 		return fmt.Errorf("wal: write %s: %w", metaName, err)
 	}
 	return nil
@@ -946,7 +946,7 @@ func (j *Journal) CompactShard(shard int) error {
 	if err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	if err := WriteFileAtomic(filepath.Join(j.dir, snapshotName(shard, boundary)), env, 0o644); err != nil {
+	if err := writeFileAtomic(filepath.Join(j.dir, snapshotName(shard, boundary)), env, 0o644); err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
 

@@ -166,8 +166,7 @@ type Sampler struct {
 	inner *core.Sampler
 	str   *strata.Strata
 	// proto is the shared initial slot state of the stratification this
-	// sampler was built over (nil for legacy construction paths); see
-	// resetAvailability.
+	// sampler was built over; see resetAvailability.
 	proto *samplerProto
 
 	// Propose/commit bookkeeping: outstanding proposals live in a dense slab
@@ -367,36 +366,16 @@ func NewSamplerStratified(p *Pool, opts Options, st *Stratification) (*Sampler, 
 // cache, with no outstanding proposals: every unlabelled pair is available.
 func (s *Sampler) resetAvailability() {
 	n := s.str.N()
-	fresh := false // slots just built with every state already pairAvailable
 	if s.slots == nil {
+		// One sequential copy of the shared slot template (every pair
+		// available); slotOff and posOfPair are read-only after init, so
+		// they alias the prototype outright.
 		s.availCount = make([]int32, s.str.K())
-		if s.proto != nil {
-			// Warm path: one sequential copy of the shared slot template;
-			// slotOff and posOfPair are read-only after init, so they alias
-			// the prototype outright.
-			s.slots = make([]pairSlot, n)
-			copy(s.slots, s.proto.slots)
-			s.slotOff = s.proto.fm.Off
-			s.posOfPair = s.proto.posOfPair
-			fresh = true
-		} else {
-			s.slots = make([]pairSlot, n)
-			s.slotOff = make([]int32, s.str.K()+1)
-			s.posOfPair = make([]int32, n)
-			pos := 0
-			for k, items := range s.str.Items {
-				s.slotOff[k] = int32(pos)
-				for _, pair := range items {
-					s.slots[pos] = pairSlot{pair: int32(pair), state: pairAvailable}
-					s.posOfPair[pair] = int32(pos)
-					pos++
-				}
-			}
-			s.slotOff[s.str.K()] = int32(pos)
-			fresh = true
-		}
-	}
-	if !fresh {
+		s.slots = make([]pairSlot, n)
+		copy(s.slots, s.proto.slots)
+		s.slotOff = s.proto.fm.Off
+		s.posOfPair = s.proto.posOfPair
+	} else {
 		for i := range s.slots {
 			s.slots[i].state = pairAvailable
 		}

@@ -2,7 +2,8 @@ package oasis_test
 
 // Microbenchmarks for the public propose/commit hot path served by
 // internal/server: batched proposals from a K=30 stratified pool, and the
-// propose→commit cycle. Tracked in BENCH_core.json via `make bench-json`.
+// propose→commit cycle. `make bench-smoke` runs them once; BENCH_core.json
+// holds their frozen history.
 
 import (
 	"testing"
