@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test test-stress race bench bench-smoke fuzz-smoke metrics-smoke trace-smoke diag-smoke serve serve-wal serve-metrics example clean
+.PHONY: build vet fmt-check test test-stress race bench bench-smoke bench-ab fuzz-smoke metrics-smoke trace-smoke diag-smoke serve serve-wal serve-metrics example clean
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,16 @@ HOT_BENCH_PKGS = ./internal/core ./internal/server ./internal/wal ./internal/poo
 # One-iteration smoke run of the hot-path microbenchmarks (CI).
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(HOT_BENCH)' -benchtime 1x $(HOT_BENCH_PKGS)
+
+# Interleaved A/B of the working tree against BASE on one perfbench workload
+# (see scripts/bench-ab.sh): PAIRS runs per side at BENCH_SECONDS each,
+# alternating which side runs first; prints each end-to-end metric's
+# medians, quartiles and pairs won.
+#   make bench-ab BASE=HEAD~1 WORKLOAD=offline-paper PAIRS=10
+PAIRS ?= 10
+BENCH_SECONDS ?= 20
+bench-ab:
+	sh scripts/bench-ab.sh '$(BASE)' '$(WORKLOAD)' '$(PAIRS)' '$(BENCH_SECONDS)'
 
 # Observability smoke (CI runs the same): boot the real binary, run a
 # labelling workload, scrape /metrics, and fail on malformed exposition or

@@ -99,7 +99,16 @@
 // allocations, instead of the O(K) rebuild-validate-scan per draw of the
 // sequential formulation. Equivalence is not approximate: the cached path
 // draws bit-for-bit the same sequence as rebuilding v on every call (see
-// TestGoldenSequence in internal/core).
+// TestGoldenSequence in internal/core). Rebuilds are always counted
+// (Sampler.RebuildStats) but timed only while a traced request's sampler
+// call runs (Sampler.TimeRebuilds), so untraced draws never read the clock.
+//
+// The paper harness (erbench, internal/experiment) builds what is constant
+// across runs once per experiment: one flattened strata membership, one
+// validation of the pool, and for a 0/1 ground truth one read-only oracle,
+// so an offline run pays for its sampling steps. Its pools are
+// deterministic at a seed: the pipeline enumerates matches in record order
+// and sums every tf-idf norm and cosine in term order.
 //
 // ProposeBatch is also rejection-free. Per-stratum proposability accounting
 // (one 8-byte slot per pair) resolves every draw in O(1): draws of labelled

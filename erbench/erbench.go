@@ -282,14 +282,20 @@ func factory(kind MethodKind, p *pool.Pool, cfg HarnessConfig) (experiment.Facto
 			return experiment.Factory{}, err
 		}
 		name = fmt.Sprintf("OASIS %d", cfg.Strata)
+		// Everything but the seed is constant across runs: flatten the
+		// membership once and share it read-only, and skip each run's pool
+		// scan, since stratifying above already validated p.
+		fm := core.Flatten(s)
+		ccfg := core.Config{
+			Alpha:             cfg.Alpha,
+			Epsilon:           cfg.Epsilon,
+			PriorStrength:     cfg.PriorStrength,
+			DisablePriorDecay: cfg.NoPriorDecay,
+			PosteriorEstimate: cfg.PosteriorEstimate,
+			TrustedPool:       true,
+		}
 		return experiment.Factory{Name: name, New: func(seed uint64) (sampler.Method, error) {
-			return core.New(p, s, core.Config{
-				Alpha:             cfg.Alpha,
-				Epsilon:           cfg.Epsilon,
-				PriorStrength:     cfg.PriorStrength,
-				DisablePriorDecay: cfg.NoPriorDecay,
-				PosteriorEstimate: cfg.PosteriorEstimate,
-			}, rng.New(seed))
+			return core.NewWithMembers(p, s, ccfg, rng.New(seed), fm)
 		}}, nil
 	default:
 		return experiment.Factory{}, fmt.Errorf("erbench: unknown method %d", kind)

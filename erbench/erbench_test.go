@@ -225,3 +225,25 @@ func TestRunDiagnostics(t *testing.T) {
 		t.Errorf("state %q terms %d", snap.State, snap.Final.Terms)
 	}
 }
+
+// TestBuildPoolDeterministic: a pool is a pure function of its config, so
+// two builds in one process must agree bit for bit — for a two-source
+// dataset and a dedup dataset alike.
+func TestBuildPoolDeterministic(t *testing.T) {
+	for _, name := range []string{"Abt-Buy", "restaurant"} {
+		a, b := buildSmall(t, name, false), buildSmall(t, name, false)
+		if a.Pool.N() != b.Pool.N() {
+			t.Fatalf("%s: pool sizes %d and %d", name, a.Pool.N(), b.Pool.N())
+		}
+		diff := 0
+		for i, s := range a.inner.Scores {
+			if math.Float64bits(s) != math.Float64bits(b.inner.Scores[i]) ||
+				a.TruthProb[i] != b.TruthProb[i] || a.inner.Preds[i] != b.inner.Preds[i] {
+				diff++
+			}
+		}
+		if diff > 0 {
+			t.Errorf("%s: %d of %d pairs differ between two builds at one seed", name, diff, a.Pool.N())
+		}
+	}
+}

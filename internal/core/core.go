@@ -126,11 +126,15 @@ type Sampler struct {
 	vEpoch  uint64
 
 	// Rebuild accounting for tracing: how many times the cached v(t) was
-	// actually rebuilt and the nanoseconds those rebuilds took. Read via
-	// RebuildStats under the owning session's lock; the fresh-path check
-	// above costs nothing extra.
+	// actually rebuilt and, while timeRebuilds is set (TimeRebuilds), the
+	// nanoseconds those rebuilds took. The count is always exact; the clock
+	// is read only while a caller is timing, because draw+commit rebuilds
+	// on every op and two clock reads per rebuild made BenchmarkDrawCommit
+	// about 1.5x slower (2-vCPU VM). Read via RebuildStats under the owning
+	// session's lock.
 	rebuilds     uint64
 	rebuildNanos int64
+	timeRebuilds bool
 
 	// membersFlat concatenates the strata member lists as int32 (stratum k
 	// occupies [strataOff[k], strataOff[k+1])), preserving each stratum's
@@ -355,7 +359,10 @@ func (o *Sampler) refreshV() {
 	if o.vFresh {
 		return
 	}
-	start := time.Now()
+	var start time.Time
+	if o.timeRebuilds {
+		start = time.Now()
+	}
 	o.computeV()
 	// o.v is strictly positive (ε-greedy mixture over non-empty strata), so
 	// Reset cannot fail; it reuses vCum's buffer after the first rebuild.
@@ -378,16 +385,24 @@ func (o *Sampler) refreshV() {
 	}
 	o.vFresh = true
 	o.rebuilds++
-	o.rebuildNanos += time.Since(start).Nanoseconds()
+	if o.timeRebuilds {
+		o.rebuildNanos += time.Since(start).Nanoseconds()
+	}
 }
 
 // RebuildStats reports how many times the cached instrumental distribution
 // was rebuilt (the dirty-flag cache behind the O(1)-amortized draw path)
-// and the total nanoseconds spent rebuilding. Callers serialise against
-// draws and commits, as with every other sampler method.
+// and the total nanoseconds spent in the rebuilds made while TimeRebuilds
+// was on. Callers serialise against draws and commits, as with every other
+// sampler method.
 func (o *Sampler) RebuildStats() (count uint64, nanos int64) {
 	return o.rebuilds, o.rebuildNanos
 }
+
+// TimeRebuilds turns the timing of v(t) rebuilds on or off. A tracer
+// switches it on for the length of a traced call and off again after, so
+// untraced draws never read the clock. It changes no draw.
+func (o *Sampler) TimeRebuilds(on bool) { o.timeRebuilds = on }
 
 // Epoch identifies the current instrumental distribution: it increments
 // every time a commit or restore invalidates v(t). Outer layers cache

@@ -281,12 +281,13 @@ type Thresholds struct {
 	// MinLabels suppresses all alarms until this many labels committed;
 	// early-session ESS ratios are noise. Default 50.
 	MinLabels int `json:"minLabels"`
-	// Hysteresis is the factor a recovering session must clear an ESS
+	// Hysteresis is the factor a recovering session must clear a
 	// threshold by before the alarm steps back down — without it a session
 	// hovering at a threshold flaps (and logs) on every batch. Leaving
-	// degraded requires ESSRatio >= ESSDegraded*Hysteresis; leaving
-	// degenerate likewise. Default 1.2; values < 1 are treated as 1
-	// (no hysteresis).
+	// degraded requires ESSRatio >= ESSDegraded*Hysteresis and a variance
+	// growth of at most VarGrowth/Hysteresis; leaving degenerate requires
+	// ESSRatio >= ESSDegenerate*Hysteresis. Default 1.2; values < 1 are
+	// treated as 1 (no hysteresis).
 	Hysteresis float64 `json:"hysteresis"`
 }
 
@@ -382,7 +383,13 @@ func (t *Tracker) evaluate(p Point) HealthState {
 		if n := t.series.Len(); n > t.th.VarWindow {
 			prev := float64(t.series.At(n - 1 - t.th.VarWindow).Variance)
 			cur := float64(p.Variance)
-			if !math.IsNaN(prev) && !math.IsNaN(cur) && prev > 0 && cur > t.th.VarGrowth*prev {
+			// The same hysteresis: a degraded session stays degraded until
+			// the growth falls to VarGrowth/Hysteresis.
+			limit := t.th.VarGrowth * prev
+			if t.state >= StateDegraded {
+				limit /= t.th.Hysteresis
+			}
+			if !math.IsNaN(prev) && !math.IsNaN(cur) && prev > 0 && cur > limit {
 				return StateDegraded
 			}
 		}

@@ -255,6 +255,49 @@ func TestTrackerVarianceGrowth(t *testing.T) {
 	}
 }
 
+// TestTrackerVarianceGrowthHysteresis: a variance whose growth over the
+// window oscillates just around VarGrowth must raise the alarm once and
+// hold it, not flap on every point; it clears once the growth falls below
+// VarGrowth/Hysteresis.
+func TestTrackerVarianceGrowthHysteresis(t *testing.T) {
+	const window = 3 // odd, so the ratio alternates above and below 4
+	th := Thresholds{ESSDegraded: -1, ESSDegenerate: -1, VarGrowth: 4, VarWindow: window, MinLabels: 1, Hysteresis: 1.2}
+	tr := NewTracker(1024, th)
+	step := math.Pow(4, 1.0/window) // growth of exactly 4x per window
+	transitions := 0
+	v := 1.0
+	for i := 0; i < 200; i++ {
+		wobble := 1.02
+		if i%2 == 1 {
+			wobble = 0.98
+		}
+		if _, changed := tr.Record(trackerPoint(i+1, 0.9, v*wobble)); changed {
+			transitions++
+		}
+		v *= step
+	}
+	if transitions != 1 || tr.State() != StateDegraded {
+		t.Fatalf("oscillating growth: %d transitions, final state %v; want 1 and degraded", transitions, tr.State())
+	}
+	// Growth of 3.6x per window is below VarGrowth but not below
+	// VarGrowth/Hysteresis (3.33x): still degraded.
+	w := v
+	for i := 0; i < 2*window; i++ {
+		w *= math.Pow(3.6, 1.0/window)
+		tr.Record(trackerPoint(201+i, 0.9, w))
+	}
+	if tr.State() != StateDegraded {
+		t.Fatalf("growth of 3.6x left the alarm: %v", tr.State())
+	}
+	// A flat variance clears it.
+	for i := 0; i < 2*window; i++ {
+		tr.Record(trackerPoint(301+i, 0.9, w))
+	}
+	if tr.State() != StateOK {
+		t.Fatalf("flat variance kept the alarm: %v", tr.State())
+	}
+}
+
 func TestTrackerSnapshotRoundTrip(t *testing.T) {
 	tr := NewTracker(16, Thresholds{ESSDegraded: 0.5, MinLabels: 1})
 	for i := 0; i < 200; i++ {

@@ -151,8 +151,10 @@ func LinearGrid(budget, points int) []int {
 }
 
 // Run executes cfg.Runs independent runs of the method built by factory
-// against oracles built per run from the pool's ground truth, and aggregates
-// the error curves against the pool's true F_alpha.
+// against the pool's ground-truth oracle, and aggregates the error curves
+// against the pool's true F_alpha. A pool whose truth probabilities are all
+// 0 or 1 gets one read-only oracle shared by every run; any other pool gets
+// a Bernoulli oracle per run on a stream derived from the run's seed.
 func Run(f Factory, p *pool.Pool, alpha float64, cfg Config) (*Curves, error) {
 	if cfg.Budget <= 0 {
 		return nil, fmt.Errorf("experiment: budget %d", cfg.Budget)
@@ -179,6 +181,7 @@ func Run(f Factory, p *pool.Pool, alpha float64, cfg Config) (*Curves, error) {
 	if workers > cfg.Runs {
 		workers = cfg.Runs
 	}
+	shared, deterministic := oracle.DeterministicFromProbs(p.TruthProb)
 	results := make([]*RunResult, cfg.Runs)
 	errs := make([]error, cfg.Runs)
 	var wg sync.WaitGroup
@@ -195,8 +198,11 @@ func Run(f Factory, p *pool.Pool, alpha float64, cfg Config) (*Curves, error) {
 				errs[run] = err
 				return
 			}
-			// Oracle stream independent of the method stream.
-			o := oracle.FromProbs(p.TruthProb, rng.New(seed^0x9e3779b97f4a7c15))
+			var o oracle.Oracle = shared
+			if !deterministic {
+				// Oracle stream independent of the method stream.
+				o = oracle.NewBernoulli(p.TruthProb, rng.New(seed^0x9e3779b97f4a7c15))
+			}
 			res, err := RunOne(m, o, cfg.Budget, checkpoints)
 			if err != nil && !errors.Is(err, ErrStalled) {
 				errs[run] = err

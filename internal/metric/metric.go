@@ -71,32 +71,37 @@ func Dice(a, b []string) float64 {
 	return 2 * float64(inter) / float64(len(a)+len(b))
 }
 
-// CosineSparse returns the cosine similarity of two sparse vectors. For
-// L2-normalised inputs (textutil.Corpus.Vector) this is simply their dot
-// product, but the function normalises defensively so it is correct for any
-// non-negative sparse vectors. Two empty vectors give 1; one empty gives 0.
-func CosineSparse(a, b map[string]float64) float64 {
-	if len(a) == 0 && len(b) == 0 {
+// CosineSparse returns the cosine similarity of two sparse vectors by a
+// merge-join over their sorted terms, so every sum runs in term order and
+// the result is reproducible bit for bit. For L2-normalised inputs
+// (textutil.Corpus.Vector) this is simply their dot product, but the
+// function normalises defensively so it is correct for any non-negative
+// sparse vectors. Two empty vectors give 1; one empty gives 0.
+func CosineSparse(a, b textutil.Vec) float64 {
+	if len(a.Terms) == 0 && len(b.Terms) == 0 {
 		return 1
 	}
-	if len(a) == 0 || len(b) == 0 {
+	if len(a.Terms) == 0 || len(b.Terms) == 0 {
 		return 0
 	}
-	small, large := a, b
-	if len(b) < len(a) {
-		small, large = b, a
-	}
 	dot := 0.0
-	for k, va := range small {
-		if vb, ok := large[k]; ok {
-			dot += va * vb
+	for i, j := 0, 0; i < len(a.Terms) && j < len(b.Terms); {
+		switch {
+		case a.Terms[i] == b.Terms[j]:
+			dot += a.Weights[i] * b.Weights[j]
+			i++
+			j++
+		case a.Terms[i] < b.Terms[j]:
+			i++
+		default:
+			j++
 		}
 	}
 	na, nb := 0.0, 0.0
-	for _, v := range a {
+	for _, v := range a.Weights {
 		na += v * v
 	}
-	for _, v := range b {
+	for _, v := range b.Weights {
 		nb += v * v
 	}
 	if na == 0 || nb == 0 {

@@ -74,19 +74,19 @@ func TestTrigramJaccard(t *testing.T) {
 }
 
 func TestCosineSparse(t *testing.T) {
-	a := map[string]float64{"x": 1}
-	b := map[string]float64{"y": 1}
+	a := textutil.Vec{Terms: []string{"x"}, Weights: []float64{1}}
+	b := textutil.Vec{Terms: []string{"y"}, Weights: []float64{1}}
 	if got := CosineSparse(a, b); got != 0 {
 		t.Errorf("orthogonal = %v", got)
 	}
 	if got := CosineSparse(a, a); !approx(got, 1, 1e-12) {
 		t.Errorf("self = %v", got)
 	}
-	c := map[string]float64{"x": 1, "y": 1}
+	c := textutil.Vec{Terms: []string{"x", "y"}, Weights: []float64{1, 1}}
 	if got := CosineSparse(a, c); !approx(got, 1/math.Sqrt2, 1e-12) {
 		t.Errorf("45° = %v", got)
 	}
-	if CosineSparse(nil, nil) != 1 || CosineSparse(a, nil) != 0 {
+	if CosineSparse(textutil.Vec{}, textutil.Vec{}) != 1 || CosineSparse(a, textutil.Vec{}) != 0 {
 		t.Error("empty conventions broken")
 	}
 }

@@ -52,21 +52,26 @@ func (o *Bernoulli) Label(i int) bool { return o.rng.Bernoulli(o.Probs[i]) }
 // Deterministic oracle if every probability is exactly 0 or 1, otherwise a
 // Bernoulli oracle using r.
 func FromProbs(probs []float64, r *rng.RNG) Oracle {
-	deterministic := true
-	for _, p := range probs {
-		if p != 0 && p != 1 {
-			deterministic = false
-			break
-		}
-	}
-	if deterministic {
-		labels := make([]bool, len(probs))
-		for i, p := range probs {
-			labels[i] = p == 1
-		}
-		return NewDeterministic(labels)
+	if d, ok := DeterministicFromProbs(probs); ok {
+		return d
 	}
 	return NewBernoulli(probs, r)
+}
+
+// DeterministicFromProbs returns the Deterministic oracle of a probability
+// vector whose every entry is exactly 0 or 1, and false for any other
+// vector. The oracle is read-only, so concurrent runs may share one.
+func DeterministicFromProbs(probs []float64) (*Deterministic, bool) {
+	for _, p := range probs {
+		if p != 0 && p != 1 {
+			return nil, false
+		}
+	}
+	labels := make([]bool, len(probs))
+	for i, p := range probs {
+		labels[i] = p == 1
+	}
+	return NewDeterministic(labels), true
 }
 
 // ErrBudgetExhausted is returned by Budgeted.TryLabel when a new (uncached)

@@ -65,15 +65,19 @@ func BuildDedupPool(ds *dataset.DedupDataset, cfg Config) (*Result, error) {
 	for i, rec := range ds.Records {
 		byEntity[rec.EntityID] = append(byEntity[rec.EntityID], i)
 	}
+	// Walk entities in record order (not map order), so allMatches — and
+	// every pool drawn from it — is the same at a fixed seed. Each member
+	// list is ascending, so every pair comes out with i < j.
 	var allMatches []pairRef
-	for _, members := range byEntity {
+	for _, rec := range ds.Records {
+		members := byEntity[rec.EntityID]
+		if members == nil {
+			continue
+		}
+		delete(byEntity, rec.EntityID)
 		for a := 0; a < len(members); a++ {
 			for b := a + 1; b < len(members); b++ {
-				i, j := members[a], members[b]
-				if i > j {
-					i, j = j, i
-				}
-				allMatches = append(allMatches, pairRef{i, j})
+				allMatches = append(allMatches, pairRef{members[a], members[b]})
 			}
 		}
 	}

@@ -106,21 +106,32 @@ func NewCumulative(w []float64) (*Cumulative, error) {
 // weight change draws the exact same index sequence as Categorical on the
 // same stream (both invert the identically accumulated CDF on one Float64),
 // in O(log n) instead of O(n) with a per-draw validation scan.
+//
+// Each weight is checked inside the prefix-sum pass, under exactly the
+// conditions of ValidateWeights, and the running sum is the one
+// ValidateWeights returns. On ErrBadWeights the sampler is left empty and
+// must be Reset successfully before the next Draw.
 func (c *Cumulative) Reset(w []float64) error {
-	sum, err := validateWeights(w)
-	if err != nil {
-		return err
-	}
 	if cap(c.cum) < len(w) {
 		c.cum = make([]float64, len(w))
 	}
 	c.cum = c.cum[:len(w)]
 	acc := 0.0
 	for i, x := range w {
+		// !(x >= 0) rejects negatives and NaN; +Inf is the only value
+		// above MaxFloat64.
+		if !(x >= 0) || x > math.MaxFloat64 {
+			c.cum, c.sum = c.cum[:0], 0
+			return ErrBadWeights
+		}
 		acc += x
 		c.cum[i] = acc
 	}
-	c.sum = sum
+	if !(acc > 0) || acc > math.MaxFloat64 {
+		c.cum, c.sum = c.cum[:0], 0
+		return ErrBadWeights
+	}
+	c.sum = acc
 	return nil
 }
 

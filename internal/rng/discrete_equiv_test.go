@@ -115,6 +115,39 @@ func TestCumulativeReset(t *testing.T) {
 	}
 }
 
+// TestCumulativeResetMatchesValidateWeights: Reset validates inside its
+// prefix-sum pass, so it must accept and reject exactly the vectors
+// ValidateWeights does, and its Sum must carry the same bits.
+func TestCumulativeResetMatchesValidateWeights(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := [][]float64{
+		nil, {}, {0}, {0, 0}, {1}, {0, 2, 0}, {-1, 2}, {2, -0.5},
+		{1, nan}, {nan}, {inf}, {1, math.Inf(-1)}, {math.MaxFloat64, math.MaxFloat64},
+		{0.1, 0.2, 0.3, 1e-300, 7e10}, {math.SmallestNonzeroFloat64},
+	}
+	setup := New(5)
+	for n := 1; n < 70; n += 7 {
+		cases = append(cases, randWeights(setup, n))
+	}
+	var c Cumulative
+	for i, w := range cases {
+		want, wantErr := ValidateWeights(w)
+		err := c.Reset(w)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("case %d %v: Reset err %v, ValidateWeights err %v", i, w, err, wantErr)
+		}
+		if err != nil {
+			if err != ErrBadWeights {
+				t.Fatalf("case %d: Reset err %v, want ErrBadWeights", i, err)
+			}
+			continue
+		}
+		if math.Float64bits(c.Sum()) != math.Float64bits(want) {
+			t.Fatalf("case %d: Sum %v, ValidateWeights %v", i, c.Sum(), want)
+		}
+	}
+}
+
 // TestRestoreRejectsZeroState: the all-zero xoshiro256** state (the
 // generator's one invalid state, reachable only through a corrupted
 // snapshot) must be rejected without touching the generator.

@@ -377,16 +377,19 @@ func (s *Session) Propose(n int) ([]Proposal, error) {
 }
 
 // rebuildStatser is implemented by proposers whose dirty-flag caches report
-// rebuild work (oasis.Sampler). The session layer reads deltas around each
-// sampler call and records them as sampler.rebuild spans when tracing.
+// rebuild work (oasis.Sampler). The session layer times rebuilds only for
+// the length of a traced sampler call, reads deltas around it and records
+// them as sampler.rebuild spans.
 type rebuildStatser interface {
 	RebuildStats() (count uint64, nanos int64)
+	TimeRebuilds(on bool)
 }
 
 // samplerSpan wraps one sampler call in a span (when ctx carries a trace)
 // and attaches the dirty-flag cache rebuilds the call triggered as a
-// retroactive child span. The returned func must be called when the sampler
-// work is done; it is a no-op for unsampled requests.
+// retroactive child span, timing rebuilds only while the call runs. The
+// returned func must be called when the sampler work is done; it is a
+// no-op for unsampled requests, whose rebuilds are counted but not timed.
 func (s *Session) samplerSpan(tr *trace.Trace, name string) func() {
 	if tr == nil {
 		return func() {}
@@ -397,9 +400,11 @@ func (s *Session) samplerSpan(tr *trace.Trace, name string) func() {
 	var nanos0 int64
 	if ok {
 		count0, nanos0 = rs.RebuildStats()
+		rs.TimeRebuilds(true)
 	}
 	return func() {
 		if ok {
+			rs.TimeRebuilds(false)
 			if count, nanos := rs.RebuildStats(); count > count0 {
 				tr.AddSpan("sampler", "sampler.rebuild", time.Duration(nanos-nanos0)).
 					AttrInt("rebuilds", int64(count-count0))

@@ -89,15 +89,6 @@ func NGrams(s string, n int) []string {
 // short-text Jaccard features.
 func Trigrams(s string) []string { return NGrams(s, 3) }
 
-// TermCounts returns the token → count map of a normalised string.
-func TermCounts(s string) map[string]int {
-	counts := make(map[string]int)
-	for _, tok := range Tokens(s) {
-		counts[tok]++
-	}
-	return counts
-}
-
 // Corpus is a tf-idf model over a collection of documents. Build it with
 // NewCorpus, then obtain sparse tf-idf vectors with Vector. Inverse document
 // frequency uses the smoothed form log((1+N)/(1+df)) + 1, so unseen terms
@@ -138,25 +129,43 @@ func (c *Corpus) IDF(term string) float64 {
 	return math.Log(float64(1+c.docs)/float64(1+df)) + 1
 }
 
-// Vector returns the L2-normalised tf-idf vector of doc as a sparse
-// term → weight map. The zero document yields an empty map.
-func (c *Corpus) Vector(doc string) map[string]float64 {
-	counts := TermCounts(doc)
-	if len(counts) == 0 {
-		return map[string]float64{}
+// Vec is a sparse vector over terms: Terms in ascending order, Weights[i]
+// the weight of Terms[i]. Keeping the terms sorted makes every reduction
+// over a Vec (its norm, a dot product by merge-join) sum in term order, so
+// the result is the same on every run; a map's iteration order is not.
+type Vec struct {
+	Terms   []string
+	Weights []float64
+}
+
+// Vector returns the L2-normalised tf-idf vector of doc (term frequency
+// times IDF, normalised in term order). The zero document yields an empty
+// vector.
+func (c *Corpus) Vector(doc string) Vec {
+	toks := Tokens(doc)
+	if len(toks) == 0 {
+		return Vec{}
 	}
-	vec := make(map[string]float64, len(counts))
+	sort.Strings(toks)
+	// Deduplicate in place: the write index never passes the read index.
+	v := Vec{Terms: toks[:0], Weights: make([]float64, 0, len(toks))}
 	norm := 0.0
-	for term, n := range counts {
-		w := float64(n) * c.IDF(term)
-		vec[term] = w
+	for i := 0; i < len(toks); {
+		j := i + 1
+		for j < len(toks) && toks[j] == toks[i] {
+			j++
+		}
+		w := float64(j-i) * c.IDF(toks[i])
+		v.Terms = append(v.Terms, toks[i])
+		v.Weights = append(v.Weights, w)
 		norm += w * w
+		i = j
 	}
 	norm = math.Sqrt(norm)
 	if norm > 0 {
-		for term := range vec {
-			vec[term] /= norm
+		for i := range v.Weights {
+			v.Weights[i] /= norm
 		}
 	}
-	return vec
+	return v
 }

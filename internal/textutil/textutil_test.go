@@ -101,13 +101,6 @@ func TestNGramsSortedUniqueProperty(t *testing.T) {
 	}
 }
 
-func TestTermCounts(t *testing.T) {
-	got := TermCounts("a b a c a")
-	if got["a"] != 3 || got["b"] != 1 || got["c"] != 1 {
-		t.Errorf("TermCounts = %v", got)
-	}
-}
-
 func TestCorpusIDF(t *testing.T) {
 	c := NewCorpus([]string{"apple banana", "apple cherry", "apple"})
 	if c.Docs() != 3 {
@@ -128,18 +121,21 @@ func TestCorpusIDF(t *testing.T) {
 func TestCorpusVectorNormalised(t *testing.T) {
 	c := NewCorpus([]string{"red green blue", "red red green", "blue"})
 	v := c.Vector("red green green blue")
-	if len(v) != 3 {
+	if len(v.Terms) != 3 || len(v.Weights) != 3 {
 		t.Fatalf("vector terms = %v", v)
 	}
+	if !sort.StringsAreSorted(v.Terms) {
+		t.Errorf("vector terms not sorted: %v", v.Terms)
+	}
 	norm := 0.0
-	for _, w := range v {
+	for _, w := range v.Weights {
 		norm += w * w
 	}
 	if math.Abs(norm-1) > 1e-9 {
 		t.Errorf("vector not unit-norm: %v", norm)
 	}
 	empty := c.Vector("")
-	if len(empty) != 0 {
+	if len(empty.Terms) != 0 {
 		t.Errorf("empty doc vector = %v", empty)
 	}
 }
@@ -147,7 +143,7 @@ func TestCorpusVectorNormalised(t *testing.T) {
 func TestCorpusVectorRepeatedTermsWeighMore(t *testing.T) {
 	c := NewCorpus([]string{"x y", "x z", "y z"})
 	v := c.Vector("x x y")
-	if !(v["x"] > v["y"]) {
+	if !reflect.DeepEqual(v.Terms, []string{"x", "y"}) || !(v.Weights[0] > v.Weights[1]) {
 		t.Errorf("tf weighting broken: %v", v)
 	}
 }

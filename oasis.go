@@ -210,10 +210,11 @@ type Sampler struct {
 	maskDirty bool
 
 	// Mask-rebuild accounting for tracing, mirroring the core sampler's
-	// (see core.Sampler.RebuildStats): count and nanoseconds of actual
-	// availability-mask rebuilds. The fresh-path check stays free.
+	// (see core.Sampler.RebuildStats): count of actual availability-mask
+	// rebuilds, and their nanoseconds while timeRebuilds is set.
 	maskRebuilds     uint64
 	maskRebuildNanos int64
+	timeRebuilds     bool
 }
 
 // pendingEntry is one outstanding proposal: the pair, its stratum, and the
@@ -620,8 +621,12 @@ func (s *Sampler) refreshMask() {
 	if !s.maskDirty && s.maskEpoch == s.inner.Epoch() && s.maskCum != nil {
 		return
 	}
-	start := time.Now()
-	_, innerBefore := s.inner.RebuildStats()
+	var start time.Time
+	var innerBefore int64
+	if s.timeRebuilds {
+		start = time.Now()
+		_, innerBefore = s.inner.RebuildStats()
+	}
 	v := s.inner.InstrumentalCached()
 	if s.maskBuf == nil {
 		s.maskBuf = make([]float64, len(v))
@@ -644,21 +649,34 @@ func (s *Sampler) refreshMask() {
 	s.maskEpoch = s.inner.Epoch()
 	s.maskDirty = false
 	s.maskRebuilds++
-	// A mask rebuild may itself trigger the inner v(t) rebuild through
-	// InstrumentalCached; subtract that delta so RebuildStats' sum never
-	// double-counts it.
-	_, innerAfter := s.inner.RebuildStats()
-	s.maskRebuildNanos += time.Since(start).Nanoseconds() - (innerAfter - innerBefore)
+	if s.timeRebuilds {
+		// A mask rebuild may itself trigger the inner v(t) rebuild through
+		// InstrumentalCached; subtract that delta so RebuildStats' sum never
+		// double-counts it.
+		_, innerAfter := s.inner.RebuildStats()
+		s.maskRebuildNanos += time.Since(start).Nanoseconds() - (innerAfter - innerBefore)
+	}
 }
 
 // RebuildStats reports the sampler's dirty-flag cache rebuilds — the core
 // instrumental distribution v(t) plus the availability mask over it — as a
-// cumulative count and total nanoseconds. The session layer reads deltas
-// across one propose/commit call and records them as a sampler.rebuild
-// span. Callers serialise as with every other sampler method.
+// cumulative count and the total nanoseconds of the rebuilds made while
+// TimeRebuilds was on. The count is exact whether or not rebuilds are
+// timed. The session layer reads deltas across one traced propose/commit
+// call and records them as a sampler.rebuild span. Callers serialise as
+// with every other sampler method.
 func (s *Sampler) RebuildStats() (count uint64, nanos int64) {
 	c, n := s.inner.RebuildStats()
 	return c + s.maskRebuilds, n + s.maskRebuildNanos
+}
+
+// TimeRebuilds turns the timing of cache rebuilds on or off; it is off for
+// a new or restored sampler. Timing reads the clock twice per rebuild, and
+// a commit-heavy loop rebuilds on nearly every draw, so a tracer turns it
+// on only for the call it traces. It changes no draw.
+func (s *Sampler) TimeRebuilds(on bool) {
+	s.timeRebuilds = on
+	s.inner.TimeRebuilds(on)
 }
 
 // pickAvailable returns the slot position of a uniform draw from the
