@@ -22,10 +22,12 @@ fmt-check:
 test: vet
 	$(GO) test -race -shuffle=on ./...
 
-# Stress gate for the concurrent subsystems: the session manager shards, the
-# WAL lanes and the HTTP layer, raced three times in shuffled order.
+# Stress gate for the concurrent subsystems — the session manager shards, the
+# WAL lanes and the HTTP layer — and for the propose/commit engine they share
+# with the offline harness (package oasis, internal/sampler, erbench), raced
+# three times in shuffled order.
 test-stress:
-	$(GO) test -race -count=3 -shuffle=on ./internal/session ./internal/wal ./internal/server
+	$(GO) test -race -count=3 -shuffle=on ./internal/session ./internal/wal ./internal/server . ./internal/sampler ./erbench
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

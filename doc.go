@@ -36,9 +36,13 @@
 // current instrumental distribution without consuming labels, and
 // CommitLabel folds answers back into the posterior and the estimate as
 // they arrive, in any order — the estimator is unchanged because each
-// draw's importance weight is frozen at draw time. The service layer builds
-// on this: internal/session keeps many concurrent evaluations alive behind
-// a lease-based propose/commit protocol with JSON snapshot/restore, and
+// draw's importance weight is frozen at draw time. The bookkeeping is
+// written once, over a per-method seam (where a draw lands, what a label
+// folds into, the estimate and its state): NewSamplerPassive runs the
+// Passive baseline through the same engine. The service layer builds on
+// this: internal/session keeps many concurrent evaluations alive behind a
+// lease-based propose/commit protocol with JSON snapshot/restore, each
+// session holding one Sampler (OASIS or Passive), and
 // cmd/oasis-server exposes it over HTTP (see the repository README for the
 // API walkthrough and examples/serverclient for a runnable end-to-end
 // demo).

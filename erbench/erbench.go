@@ -10,6 +10,7 @@
 package erbench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -126,14 +127,20 @@ type BuiltPool struct {
 	Name string
 
 	inner *pool.Pool
+	// truth is the read-only oracle of a pool whose every TruthProb is 0 or
+	// 1, built once; nil for noisy truth.
+	truth *oracle.Deterministic
 }
 
 // Oracle returns a ground-truth oracle function for the pool, for use with
 // the samplers' Run methods. For deterministic truth (the experiments here)
-// the seed is irrelevant.
+// the seed is irrelevant and every call shares one read-only oracle; noisy
+// truth gets a fresh Bernoulli oracle seeded by seed.
 func (b *BuiltPool) Oracle(seed uint64) oasis.OracleFunc {
-	o := oracle.FromProbs(b.TruthProb, rng.New(seed))
-	return o.Label
+	if b.truth != nil {
+		return b.truth.Label
+	}
+	return oracle.NewBernoulli(b.TruthProb, rng.New(seed)).Label
 }
 
 // TrueF returns the pool's population F_α.
@@ -159,6 +166,7 @@ func BuildPool(name string, cfg PoolConfig) (*BuiltPool, error) {
 		return nil, err
 	}
 	prec, rec, f50 := pipeline.OperatingPoint(res.Pool)
+	truth, _ := oracle.DeterministicFromProbs(res.Pool.TruthProb)
 	return &BuiltPool{
 		Pool:      oasis.WrapPool(res.Pool),
 		TruthProb: res.Pool.TruthProb,
@@ -167,6 +175,7 @@ func BuildPool(name string, cfg PoolConfig) (*BuiltPool, error) {
 		F50:       f50,
 		Name:      name,
 		inner:     res.Pool,
+		truth:     truth,
 	}, nil
 }
 
@@ -461,13 +470,16 @@ type DiagSnapshot struct {
 	Final oasis.Health
 }
 
-// RunDiagnostics runs one OASIS trajectory to cfg.Budget on the pool,
-// folding an estimator-health point into a capacity-point downsampling ring
-// every `every` labels (0 records after every label batch of 1), and
-// returns the snapshot. capacity <= 0 selects the ring default. Unlike
-// RunConvergence it needs no ground truth beyond the oracle — it measures
-// exactly what a live session's diagnostics endpoint would show, so paper
-// datasets can be profiled for threshold tuning.
+// RunDiagnostics runs one OASIS trajectory to cfg.Budget distinct labels
+// (or until the pool is labelled) on the pool, proposing batches of `every`
+// pairs (0 means 1), committing their oracle labels and folding an
+// estimator-health point into a capacity-point downsampling ring after each
+// batch, and returns the snapshot. capacity <= 0 selects the ring default.
+// The labels axis counts distinct pairs committed. Unlike RunConvergence it
+// needs no ground truth beyond the oracle — it drives the sampler as a live
+// session does and measures exactly what the session's diagnostics
+// endpoint would show, so paper datasets can be profiled for threshold
+// tuning.
 func RunDiagnostics(b *BuiltPool, cfg HarnessConfig, every, capacity int) (*DiagSnapshot, error) {
 	cfg = cfg.withDefaults()
 	if every <= 0 {
@@ -485,18 +497,23 @@ func RunDiagnostics(b *BuiltPool, cfg HarnessConfig, every, capacity int) (*Diag
 	}
 	orc := b.Oracle(cfg.Seed ^ 0xabcdef)
 	tracker := diag.NewTracker(capacity, diag.DefaultThresholds)
-	for consumed := 0; consumed < cfg.Budget; {
-		chunk := every
-		if rest := cfg.Budget - consumed; chunk > rest {
-			chunk = rest
-		}
-		if _, err := s.Run(orc, chunk); err != nil {
+	for s.LabelsCommitted() < cfg.Budget {
+		n := min(every, cfg.Budget-s.LabelsCommitted())
+		batch, err := s.ProposeBatch(n)
+		if err != nil && !errors.Is(err, oasis.ErrExhausted) {
 			return nil, err
 		}
-		consumed += chunk
+		if len(batch) == 0 {
+			break // every pair is labelled
+		}
+		for _, pair := range batch {
+			if err := s.CommitLabel(pair, orc(pair)); err != nil {
+				return nil, err
+			}
+		}
 		h := s.Health()
 		tracker.Record(diag.Point{
-			Labels:   consumed,
+			Labels:   s.LabelsCommitted(),
 			Estimate: diag.Float(h.Estimate),
 			Variance: diag.Float(h.AsymptoticVariance),
 			ESSRatio: diag.Float(h.ESSRatio),

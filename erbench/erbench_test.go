@@ -247,3 +247,53 @@ func TestBuildPoolDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDiagnosticsCountsDistinctLabels checks the labels axis counts
+// distinct pairs committed: with a budget of twice the pool, the run labels
+// every pair once and stops, so no point exceeds Pool.N() and the last one
+// sits exactly at it.
+func TestRunDiagnosticsCountsDistinctLabels(t *testing.T) {
+	b := buildSmall(t, "restaurant", false)
+	n := b.Pool.N()
+	snap, err := RunDiagnostics(b, HarnessConfig{Budget: 2 * n, Strata: 8, Seed: 5}, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Stride != 1 || len(snap.Series) == 0 {
+		t.Fatalf("series len=%d stride=%d, want every batch retained", len(snap.Series), snap.Stride)
+	}
+	for _, p := range snap.Series {
+		if p.Labels > n {
+			t.Fatalf("labels axis reached %d on a pool of %d pairs", p.Labels, n)
+		}
+	}
+	if last := snap.Series[len(snap.Series)-1]; last.Labels != n || last.Terms < n {
+		t.Fatalf("final point at %d labels, %d terms; want all %d pairs labelled", last.Labels, last.Terms, n)
+	}
+}
+
+// TestFinalErrorBitsAtFixedSeed pins the offline baselines and OASIS to the
+// values the harness produced before passive sessions moved onto the
+// shared propose/commit engine: offline runs still step the methods, so the
+// figures must repeat bit for bit.
+func TestFinalErrorBitsAtFixedSeed(t *testing.T) {
+	b := buildSmall(t, "restaurant", false)
+	for _, tc := range []struct {
+		kind     MethodKind
+		mean, ci uint64
+	}{
+		{Passive, 0x3fd5555555555556, 0x0},
+		{ImportanceSampling, 0x3fa7713a6a189e38, 0x3fa2c6c9b04d84f0},
+		{OASIS, 0x3fc64cad194778e2, 0x3fc62f72db4b278c},
+		{Stratified, 0x3fe2aaaaaaaaaaaa, 0x3fd3343951132fe0},
+	} {
+		mean, ci, err := FinalError(b, tc.kind, HarnessConfig{Budget: 1000, Runs: 8, Seed: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(mean) != tc.mean || math.Float64bits(ci) != tc.ci {
+			t.Errorf("%v: FinalError = %v ± %v (%#x, %#x), want %#x, %#x",
+				tc.kind, mean, ci, math.Float64bits(mean), math.Float64bits(ci), tc.mean, tc.ci)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"oasis/internal/core"
 	"oasis/internal/oracle"
 	"oasis/internal/pool"
+	"oasis/internal/sampler"
 	"oasis/internal/stats"
 	"oasis/internal/strata"
 )
@@ -60,7 +61,7 @@ func RunConvergence(o *core.Sampler, p *pool.Pool, s *strata.Strata,
 	}
 
 	nextRecord := every
-	maxIters := maxIterFactor*budget + 1000
+	maxIters := sampler.MaxDraws(budget)
 	iters := 0
 	for b.Consumed() < budget && iters < maxIters {
 		before := b.Consumed()

@@ -50,11 +50,6 @@ type RunResult struct {
 // iterations exceeded).
 var ErrStalled = errors.New("experiment: method stalled before exhausting the label budget")
 
-// maxIterFactor bounds iterations at maxIterFactor × budget; with-replacement
-// sampling revisits cached pairs, but a method that revisits this often is
-// effectively stalled.
-const maxIterFactor = 200
-
 // RunOne runs method m against the oracle o until `budget` distinct labels
 // are consumed (or the pool is exhausted), recording the estimate at each
 // checkpoint. Checkpoints must be sorted ascending.
@@ -65,7 +60,9 @@ func RunOne(m sampler.Method, o oracle.Oracle, budget int, checkpoints []int) (*
 		res.Estimates[i] = math.NaN()
 	}
 	next := 0
-	maxIters := maxIterFactor*budget + 1000
+	// With-replacement sampling revisits cached pairs, but a method that
+	// revisits more often than the shared draw cap allows is stalled.
+	maxIters := sampler.MaxDraws(budget)
 	start := time.Now()
 	for b.Consumed() < budget {
 		if res.Iterations >= maxIters {

@@ -18,3 +18,23 @@ type Method interface {
 	Step(b *oracle.Budgeted) error
 	Estimate() float64
 }
+
+// Sampling is with replacement and cached (already-labelled) pairs are free,
+// so a run can legitimately take more draws than its label budget — e.g.
+// once a heavy stratum is fully labelled, every re-draw from it consumes no
+// budget. Step loops (oasis.Sampler.Run and the experiment harness) cap the
+// draw count so that a degenerate instrumental distribution (all mass on
+// labelled pairs) terminates instead of spinning: MaxDrawFactor draws per
+// budgeted label, plus MaxDrawSlack to keep tiny budgets from being cut off
+// early. Propose/commit needs no cap: its draw path is rejection-free and
+// exhaustion is a typed error.
+const (
+	// MaxDrawFactor bounds with-replacement draws per budgeted label.
+	MaxDrawFactor = 200
+	// MaxDrawSlack is the additive slack for small budgets.
+	MaxDrawSlack = 1000
+)
+
+// MaxDraws returns the draw cap of a Step loop targeting n fresh labels:
+// MaxDrawFactor*n + MaxDrawSlack.
+func MaxDraws(n int) int { return MaxDrawFactor*n + MaxDrawSlack }

@@ -15,8 +15,10 @@ import (
 	"time"
 
 	"oasis"
+	"oasis/internal/core"
 	"oasis/internal/diag"
 	"oasis/internal/poolstore"
+	"oasis/internal/rng"
 	"oasis/internal/trace"
 )
 
@@ -432,14 +434,15 @@ func (m *Manager) Len() int {
 	return n
 }
 
-// sessionSnapshot pairs a session's config with its method state. Exactly
-// one of Sampler/Passive is set. LastLSN is the session's journal high-water
-// mark at snapshot time: WAL replay skips the session's events at or below
-// it, which is what lets compaction fold cold segments into a snapshot.
-// Leases lists the pairs with a live lease; together with the proposer
-// states' pending draws this makes the snapshot exact — restored sessions
-// hold the same outstanding proposals (re-leased for a fresh TTL), so WAL
-// tail events replay against the snapshot bit-for-bit.
+// sessionSnapshot pairs a session's config with its sampler state: under
+// "sampler" for OASIS sessions, under "passive" in the passive shape for
+// Passive ones. LastLSN is the session's journal high-water mark at
+// snapshot time: WAL replay skips the session's events at or below it,
+// which is what lets compaction fold cold segments into a snapshot. Leases
+// lists the pairs with a live lease; together with the sampler state's
+// pending draws this makes the snapshot exact — restored sessions hold the
+// same outstanding proposals (re-leased for a fresh TTL), so WAL tail events
+// replay against the snapshot bit-for-bit.
 type sessionSnapshot struct {
 	Config  Config              `json:"config"`
 	LastLSN uint64              `json:"lastLSN,omitempty"`
@@ -451,6 +454,89 @@ type sessionSnapshot struct {
 	// keeps pre-diagnostics snapshots decodable — they restore with an
 	// empty series).
 	Diag *diag.TrackerState `json:"diag,omitempty"`
+}
+
+// samplerState returns the snapshot's sampler state, nil when it has none.
+func (snap *sessionSnapshot) samplerState() (*oasis.SamplerState, error) {
+	if snap.Passive == nil {
+		return snap.Sampler, nil
+	}
+	if snap.Sampler != nil {
+		return nil, errors.New("session: snapshot carries both sampler and passive state")
+	}
+	return snap.Passive.samplerState()
+}
+
+// passiveState is the snapshot shape of a Passive session's sampler: the
+// estimator sums and random stream flattened beside the labels, and each
+// outstanding proposal as its draw weight plus a count of unit-weight
+// re-draws (Passive has one stratum and unit weights, so that is all of
+// oasis.SamplerState). WAL snapshots store it under "passive".
+type passiveState struct {
+	Num     float64               `json:"num"`
+	Pred    float64               `json:"pred"`
+	True    float64               `json:"true"`
+	N       int                   `json:"n"`
+	RNG     rng.State             `json:"rng"`
+	Labels  map[int]bool          `json:"labels,omitempty"`
+	Pending []passivePendingState `json:"pending,omitempty"`
+	// Weight moments for the health gauges; omitempty keeps pre-moment
+	// snapshots decodable (they restore as "health unknown").
+	SumW  float64 `json:"sumW,omitempty"`
+	SumW2 float64 `json:"sumW2,omitempty"`
+	YY    float64 `json:"yy,omitempty"`
+	YZ    float64 `json:"yz,omitempty"`
+	ZZ    float64 `json:"zz,omitempty"`
+}
+
+// passivePendingState is one outstanding proposal in a passiveState.
+type passivePendingState struct {
+	Pair  int     `json:"pair"`
+	First float64 `json:"w"`
+	Extra int     `json:"extra,omitempty"`
+}
+
+// newPassiveState converts a Passive sampler's state to the passive shape,
+// pending proposals sorted by pair for deterministic snapshot bytes.
+func newPassiveState(st *oasis.SamplerState) *passiveState {
+	e := st.Core.Estimator
+	ps := &passiveState{
+		Num: e.Num, Pred: e.Pred, True: e.True, N: e.N,
+		RNG:    st.Core.RNG,
+		Labels: st.Labels,
+		SumW:   e.SumW, SumW2: e.SumW2, YY: e.YY, YZ: e.YZ, ZZ: e.ZZ,
+	}
+	for _, p := range st.Pending {
+		ps.Pending = append(ps.Pending, passivePendingState{Pair: p.Pair, First: p.Weight, Extra: len(p.Extra)})
+	}
+	sort.Slice(ps.Pending, func(i, j int) bool { return ps.Pending[i].Pair < ps.Pending[j].Pair })
+	return ps
+}
+
+// samplerState converts the passive shape back; the sampler's RestoreState
+// validates the result.
+func (ps *passiveState) samplerState() (*oasis.SamplerState, error) {
+	st := &oasis.SamplerState{
+		Core: &core.State{
+			Estimator: core.EstimatorState{
+				Num: ps.Num, Pred: ps.Pred, True: ps.True, N: ps.N,
+				SumW: ps.SumW, SumW2: ps.SumW2, YY: ps.YY, YZ: ps.YZ, ZZ: ps.ZZ,
+			},
+			RNG: ps.RNG,
+		},
+		Labels: ps.Labels,
+	}
+	for _, p := range ps.Pending {
+		if p.Extra < 0 {
+			return nil, fmt.Errorf("session: snapshot proposal for pair %d has %d re-draws", p.Pair, p.Extra)
+		}
+		pd := oasis.PendingDraw{Pair: p.Pair, Weight: p.First}
+		for j := 0; j < p.Extra; j++ {
+			pd.Extra = append(pd.Extra, oasis.DrawTerm{Weight: 1})
+		}
+		st.Pending = append(st.Pending, pd)
+	}
+	return st, nil
 }
 
 // snapshotFile is the on-disk format of Manager.Snapshot.
@@ -474,11 +560,10 @@ func (s *Session) snapshot() sessionSnapshot {
 		}
 		sort.Ints(snap.Leases) // deterministic snapshot bytes
 	}
-	switch p := s.prop.(type) {
-	case *oasis.Sampler:
-		snap.Sampler = p.State()
-	case *passiveProposer:
-		snap.Passive = p.state()
+	if st := s.sampler.State(); s.cfg.Method == MethodPassive {
+		snap.Passive = newPassiveState(st)
+	} else {
+		snap.Sampler = st
 	}
 	if s.diag != nil && s.diag.Series().Seen() > 0 {
 		snap.Diag = s.diag.Snapshot()
@@ -594,23 +679,14 @@ func (m *Manager) RestoreReplay(data []byte) (err error) {
 		s.jrn = m.jrn
 		s.met = m.opts.Metrics.Shard(m.ShardFor(s.id))
 		s.lastLSN = snap.LastLSN
-		switch {
-		case snap.Sampler != nil:
-			sampler, ok := s.prop.(*oasis.Sampler)
-			if !ok {
-				return fmt.Errorf("session: restore %q: sampler state for %s session", s.id, s.cfg.Method)
-			}
-			if err := sampler.RestoreState(snap.Sampler); err != nil {
-				return fmt.Errorf("session: restore %q: %w", s.id, err)
-			}
-		case snap.Passive != nil:
-			passive, ok := s.prop.(*passiveProposer)
-			if !ok {
-				return fmt.Errorf("session: restore %q: passive state for %s session", s.id, s.cfg.Method)
-			}
-			if err := passive.restore(snap.Passive); err != nil {
-				return fmt.Errorf("session: restore %q: %w", s.id, err)
-			}
+		st, err := snap.samplerState()
+		var labelled map[int]bool
+		if err == nil && st != nil {
+			err = s.sampler.RestoreState(st)
+			labelled = st.Labels
+		}
+		if err != nil {
+			return fmt.Errorf("session: restore %q: %w", s.id, err)
 		}
 		if snap.Diag != nil {
 			// The ring capacity rides the snapshot (byte-stable series even
@@ -622,23 +698,13 @@ func (m *Manager) RestoreReplay(data []byte) (err error) {
 			}
 			s.diag = tracker
 		}
-		labelled := func(pair int) bool {
-			switch {
-			case snap.Sampler != nil:
-				_, ok := snap.Sampler.Labels[pair]
-				return ok
-			case snap.Passive != nil:
-				_, ok := snap.Passive.Labels[pair]
-				return ok
-			}
-			return false
-		}
 		deadline := m.opts.Now().Add(s.leaseTTL)
 		for _, pair := range snap.Leases {
 			if pair < 0 || pair >= s.poolSize {
 				return fmt.Errorf("session: restore %q: lease for pair %d outside pool of %d", s.id, pair, s.poolSize)
 			}
-			if _, dup := s.leases[pair]; dup || labelled(pair) {
+			_, dup := s.leases[pair]
+			if _, done := labelled[pair]; dup || done {
 				return fmt.Errorf("session: restore %q: lease for pair %d clashes with its label state", s.id, pair)
 			}
 			s.leases[pair] = deadline

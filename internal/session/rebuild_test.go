@@ -12,11 +12,7 @@ import (
 // rebuildStats reads the session sampler's cumulative rebuild counters.
 func rebuildStats(t *testing.T, s *Session) (uint64, int64) {
 	t.Helper()
-	rs, ok := s.prop.(rebuildStatser)
-	if !ok {
-		t.Fatalf("proposer %T does not report rebuilds", s.prop)
-	}
-	return rs.RebuildStats()
+	return s.sampler.RebuildStats()
 }
 
 // proposeCommit runs one propose(n) + labels round on ctx.

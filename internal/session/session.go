@@ -1,6 +1,9 @@
 // Package session keeps many concurrent OASIS evaluations alive behind a
 // propose/commit protocol, turning the library's synchronous sampling loop
-// into a long-lived labelling service.
+// into a long-lived labelling service. Every session holds one
+// oasis.Sampler — OASIS, or the Passive baseline built by
+// oasis.NewSamplerPassive — so both methods share the library's one
+// propose/commit engine; only their snapshot shapes differ.
 //
 // The paper's oracle is a costly external resource — a crowd — which in
 // deployment answers asynchronously and in batches. A Session therefore
@@ -61,22 +64,6 @@ var (
 	// deleted must not brick the boot.
 	ErrPoolUnavailable = errors.New("session: referenced pool unavailable")
 )
-
-// proposer is the batched propose/commit surface a Session drives. The
-// public oasis.Sampler implements it for OASIS; passiveProposer implements
-// it for the uniform baseline. CommitLabelTerms returns the weighted
-// estimator terms of a fresh commit (nil, nil for a duplicate) so the
-// durable journal can record them; ReplayCommit applies a journaled commit
-// during recovery.
-type proposer interface {
-	ProposeBatch(n int) ([]int, error)
-	CommitLabelTerms(pair int, label bool) ([]oasis.DrawTerm, error)
-	ReplayCommit(pair int, label bool, terms []oasis.DrawTerm) error
-	Release(pair int) bool
-	Estimate() float64
-	LabelsCommitted() int
-	Health() oasis.Health
-}
 
 // Config describes a new session: the evaluation pool (a content-addressed
 // reference into the pool store, or inline parallel score and prediction
@@ -147,7 +134,7 @@ type Session struct {
 
 	id       string
 	cfg      Config
-	prop     proposer
+	sampler  *oasis.Sampler // the session's method: OASIS or Passive
 	leases   map[int]time.Time
 	leaseTTL time.Duration
 	now      func() time.Time
@@ -207,23 +194,21 @@ func newSession(ctx context.Context, cfg Config, defaultTTL time.Duration, now f
 	if cfg.Options.StrataBins > poolSize {
 		cfg.Options.StrataBins = poolSize
 	}
-	var prop proposer
+	var smp *oasis.Sampler
 	switch cfg.Method {
 	case MethodOASIS:
-		s, err := newOASISSampler(ctx, p, cfg, pools)
-		if err != nil {
+		if smp, err = newOASISSampler(ctx, p, cfg, pools); err != nil {
 			return nil, err
 		}
-		prop = s
 	case MethodPassive:
-		prop = newPassive(p, cfg.Options)
+		smp = oasis.NewSamplerPassive(p, cfg.Options)
 	default:
 		return nil, fmt.Errorf("session: unknown method %q", cfg.Method)
 	}
 	return &Session{
 		id:          cfg.ID,
 		cfg:         cfg,
-		prop:        prop,
+		sampler:     smp,
 		leases:      make(map[int]time.Time),
 		leaseTTL:    cfg.LeaseTTL,
 		now:         now,
@@ -340,7 +325,7 @@ func (s *Session) expireLocked(now time.Time) {
 	for pair, deadline := range s.leases {
 		if now.After(deadline) {
 			delete(s.leases, pair)
-			s.prop.Release(pair)
+			s.sampler.Release(pair)
 			expired = append(expired, pair)
 		}
 	}
@@ -358,7 +343,7 @@ func (s *Session) remainingLocked() int {
 	if s.cfg.Budget <= 0 {
 		return -1
 	}
-	r := s.cfg.Budget - s.prop.LabelsCommitted() - len(s.leases)
+	r := s.cfg.Budget - s.sampler.LabelsCommitted() - len(s.leases)
 	if r < 0 {
 		r = 0
 	}
@@ -376,15 +361,6 @@ func (s *Session) Propose(n int) ([]Proposal, error) {
 	return s.ProposeCtx(context.Background(), n)
 }
 
-// rebuildStatser is implemented by proposers whose dirty-flag caches report
-// rebuild work (oasis.Sampler). The session layer times rebuilds only for
-// the length of a traced sampler call, reads deltas around it and records
-// them as sampler.rebuild spans.
-type rebuildStatser interface {
-	RebuildStats() (count uint64, nanos int64)
-	TimeRebuilds(on bool)
-}
-
 // samplerSpan wraps one sampler call in a span (when ctx carries a trace)
 // and attaches the dirty-flag cache rebuilds the call triggered as a
 // retroactive child span, timing rebuilds only while the call runs. The
@@ -395,20 +371,13 @@ func (s *Session) samplerSpan(tr *trace.Trace, name string) func() {
 		return func() {}
 	}
 	sp := tr.Start("sampler", name)
-	rs, ok := s.prop.(rebuildStatser)
-	var count0 uint64
-	var nanos0 int64
-	if ok {
-		count0, nanos0 = rs.RebuildStats()
-		rs.TimeRebuilds(true)
-	}
+	count0, nanos0 := s.sampler.RebuildStats()
+	s.sampler.TimeRebuilds(true)
 	return func() {
-		if ok {
-			rs.TimeRebuilds(false)
-			if count, nanos := rs.RebuildStats(); count > count0 {
-				tr.AddSpan("sampler", "sampler.rebuild", time.Duration(nanos-nanos0)).
-					AttrInt("rebuilds", int64(count-count0))
-			}
+		s.sampler.TimeRebuilds(false)
+		if count, nanos := s.sampler.RebuildStats(); count > count0 {
+			tr.AddSpan("sampler", "sampler.rebuild", time.Duration(nanos-nanos0)).
+				AttrInt("rebuilds", int64(count-count0))
 		}
 		sp.End()
 	}
@@ -447,11 +416,11 @@ func (s *Session) ProposeCtx(ctx context.Context, n int) ([]Proposal, error) {
 	}
 	now := s.now()
 	s.expireLocked(now)
-	if s.prop.LabelsCommitted() >= s.poolSize {
+	if s.sampler.LabelsCommitted() >= s.poolSize {
 		return nil, ErrBudgetExhausted
 	}
 	if r := s.remainingLocked(); r >= 0 {
-		if s.cfg.Budget-s.prop.LabelsCommitted() <= 0 {
+		if s.cfg.Budget-s.sampler.LabelsCommitted() <= 0 {
 			return nil, ErrBudgetExhausted
 		}
 		if n > r {
@@ -463,7 +432,7 @@ func (s *Session) ProposeCtx(ctx context.Context, n int) ([]Proposal, error) {
 		}
 	}
 	endSampler := s.samplerSpan(tr, "sampler.propose")
-	pairs, err := s.prop.ProposeBatch(n)
+	pairs, err := s.sampler.ProposeBatch(n)
 	endSampler()
 	switch {
 	case errors.Is(err, oasis.ErrExhausted):
@@ -475,7 +444,7 @@ func (s *Session) ProposeCtx(ctx context.Context, n int) ([]Proposal, error) {
 		// Release any partially drawn batch so the pairs are not stranded
 		// as pending-without-a-lease (unleased pairs never expire).
 		for _, pair := range pairs {
-			s.prop.Release(pair)
+			s.sampler.Release(pair)
 		}
 		return nil, err
 	}
@@ -486,7 +455,7 @@ func (s *Session) ProposeCtx(ctx context.Context, n int) ([]Proposal, error) {
 			// Unacknowledged draws return to the proposable set; the sticky
 			// journal failure fail-stops the session from here on.
 			for _, pair := range pairs {
-				s.prop.Release(pair)
+				s.sampler.Release(pair)
 			}
 			return nil, jerr
 		}
@@ -573,7 +542,7 @@ func (s *Session) CommitBatchCtx(ctx context.Context, pairs []int, labels []bool
 	results := make([]CommitResult, len(pairs))
 	endSampler := s.samplerSpan(tr, "sampler.commit")
 	for i, pair := range pairs {
-		terms, err := s.prop.CommitLabelTerms(pair, labels[i])
+		terms, err := s.sampler.CommitLabelTerms(pair, labels[i])
 		switch {
 		case errors.Is(err, oasis.ErrNotProposed):
 			results[i] = Expired
@@ -625,8 +594,8 @@ func (s *Session) recordDiagLocked(tr *trace.Trace, wallNanos int64, replay bool
 	if s.diag == nil {
 		return
 	}
-	h := s.prop.Health()
-	labels := s.prop.LabelsCommitted()
+	h := s.sampler.Health()
+	labels := s.sampler.LabelsCommitted()
 	prev := s.diag.State()
 	state, changed := s.diag.Record(diag.Point{
 		Labels:    labels,
@@ -654,7 +623,7 @@ func (s *Session) recordDiagLocked(tr *trace.Trace, wallNanos int64, replay bool
 func (s *Session) Estimate() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.prop.Estimate()
+	return s.sampler.Estimate()
 }
 
 // Status reports the session's current state.
@@ -667,16 +636,15 @@ func (s *Session) Status() Status {
 		Method:           s.cfg.Method,
 		PoolSize:         s.poolSize,
 		PoolID:           s.cfg.PoolID,
-		LabelsCommitted:  s.prop.LabelsCommitted(),
+		LabelsCommitted:  s.sampler.LabelsCommitted(),
 		PendingProposals: len(s.leases),
 		Budget:           s.cfg.Budget,
 		Remaining:        s.remainingLocked(),
 	}
-	if f := s.prop.Estimate(); !math.IsNaN(f) {
+	if f := s.sampler.Estimate(); !math.IsNaN(f) {
 		st.Estimate = &f
 	}
-	if init, ok := s.prop.(interface{ InitialEstimate() float64 }); ok {
-		f0 := init.InitialEstimate()
+	if f0 := s.sampler.InitialEstimate(); !math.IsNaN(f0) {
 		st.InitialEstimate = &f0
 	}
 	return st
@@ -709,7 +677,7 @@ type SamplerHealth struct {
 func (s *Session) SamplerHealth() SamplerHealth {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := s.prop.Health()
+	h := s.sampler.Health()
 	sh := SamplerHealth{
 		ID:                 s.id,
 		Method:             s.cfg.Method,
@@ -718,7 +686,7 @@ func (s *Session) SamplerHealth() SamplerHealth {
 		ESS:                h.ESS,
 		ESSRatio:           h.ESSRatio,
 		Terms:              h.Terms,
-		LabelsCommitted:    s.prop.LabelsCommitted(),
+		LabelsCommitted:    s.sampler.LabelsCommitted(),
 		PendingProposals:   len(s.leases),
 		Budget:             s.cfg.Budget,
 		PoolSize:           s.poolSize,
@@ -728,13 +696,6 @@ func (s *Session) SamplerHealth() SamplerHealth {
 		sh.DiagMemBytes = s.diag.MemBytes()
 	}
 	return sh
-}
-
-// stratumDiagnoser is implemented by proposers that expose per-stratum
-// weight diagnostics (oasis.Sampler). Passive sessions have no strata and
-// simply omit the block.
-type stratumDiagnoser interface {
-	StratumDiagnostics() []diag.StratumHealth
 }
 
 // Diagnostics is the full convergence-diagnostics payload of one session,
@@ -770,12 +731,12 @@ type Diagnostics struct {
 func (s *Session) Diagnostics() Diagnostics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := s.prop.Health()
+	h := s.sampler.Health()
 	d := Diagnostics{
 		ID:              s.id,
 		Method:          s.cfg.Method,
 		State:           diag.StateOK.String(),
-		LabelsCommitted: s.prop.LabelsCommitted(),
+		LabelsCommitted: s.sampler.LabelsCommitted(),
 		Terms:           h.Terms,
 		Estimate:        diag.Float(h.Estimate),
 		Variance:        diag.Float(h.AsymptoticVariance),
@@ -789,8 +750,6 @@ func (s *Session) Diagnostics() Diagnostics {
 		d.SeriesStride = s.diag.Series().Stride()
 		d.MemBytes = s.diag.MemBytes()
 	}
-	if sd, ok := s.prop.(stratumDiagnoser); ok {
-		d.Strata = sd.StratumDiagnostics()
-	}
+	d.Strata = s.sampler.StratumDiagnostics()
 	return d
 }

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
 	"oasis/internal/core"
 	"oasis/internal/diag"
+	"oasis/internal/estimator"
 	"oasis/internal/oracle"
 	"oasis/internal/pool"
 	"oasis/internal/rng"
@@ -154,7 +156,8 @@ type Result struct {
 	Iterations int
 }
 
-// Sampler is the OASIS adaptive importance sampler over a pool.
+// Sampler is the OASIS adaptive importance sampler over a pool (or, built
+// with NewSamplerPassive, the paper's Passive baseline).
 //
 // A Sampler can be driven two ways: synchronously, with Run/Step pulling
 // labels from an OracleFunc, or asynchronously, with ProposeBatch/CommitLabel
@@ -162,12 +165,11 @@ type Result struct {
 // queue) produces them. A Sampler is not safe for concurrent use; the
 // session subsystem (internal/session, served by cmd/oasis-server) adds
 // locking, leases and persistence on top.
+//
+// The propose/commit bookkeeping below is method-independent: the method
+// itself sits behind the engine seam in inner.
 type Sampler struct {
-	inner *core.Sampler
-	str   *strata.Strata
-	// proto is the shared initial slot state of the stratification this
-	// sampler was built over; see resetAvailability.
-	proto *samplerProto
+	inner engine
 
 	// Propose/commit bookkeeping: outstanding proposals live in a dense slab
 	// (pendingSlab) indexed per pair by pendingIdx, holding every draw
@@ -183,7 +185,8 @@ type Sampler struct {
 	// indexes slots once: pair identity and state share an 8-byte load, so
 	// the hot path takes a single random memory access instead of two
 	// dependent ones. posOfPair maps a pool index back to its slot for the
-	// (colder) commit/release paths.
+	// (colder) commit/release paths; nil means slots are in pool index order
+	// (Passive's one stratum).
 	slots     []pairSlot
 	slotOff   []int32
 	posOfPair []int32
@@ -215,6 +218,42 @@ type Sampler struct {
 	maskRebuilds     uint64
 	maskRebuildNanos int64
 	timeRebuilds     bool
+}
+
+// engine is what a method contributes to the Sampler's propose/commit
+// bookkeeping: where a draw lands (a stratum and its frozen importance
+// weight), what a labelled draw folds into, and the method's estimate,
+// health and state. The bookkeeping itself — outstanding proposals,
+// re-draws of pending and labelled pairs, the direct mode that escapes draw
+// storms, journal replay checks — is written once, in Sampler, over this
+// seam. *core.Sampler fills it for OASIS and *sampler.Passive for the
+// Passive baseline.
+type engine interface {
+	sampler.Method
+	// DrawStratum draws a stratum from the instrumental distribution v and
+	// returns it with the importance weight of a draw from it.
+	DrawStratum() (k int, weight float64)
+	// Rand is the method's random stream; pairs within a stratum are drawn
+	// from it too, so one seed fixes the whole proposal sequence.
+	Rand() *rng.RNG
+	// InstrumentalCached returns v (read-only, valid until the next Commit
+	// or Restore); Epoch changes whenever v may have changed.
+	InstrumentalCached() []float64
+	Epoch() uint64
+	// Commit folds one labelled draw into the estimate (and, for adaptive
+	// methods, into the model behind v).
+	Commit(d core.Draw, label bool)
+	Estimator() *estimator.Weighted
+	// InitialF is the score-based initial estimate, NaN for a method
+	// without one.
+	InitialF() float64
+	// StratumStats reports per-stratum labelled draws and weight moments;
+	// nil slices for a method without strata to report.
+	StratumStats(draws []int64, sumW, sumW2 []float64) ([]int64, []float64, []float64)
+	RebuildStats() (count uint64, nanos int64)
+	TimeRebuilds(on bool)
+	State() *core.State
+	Restore(st *core.State) error
 }
 
 // pendingEntry is one outstanding proposal: the pair, its stratum, and the
@@ -353,70 +392,110 @@ func NewSamplerStratified(p *Pool, opts Options, st *Stratification) (*Sampler, 
 	if err != nil {
 		return nil, err
 	}
-	out := &Sampler{
-		inner:  inner,
-		str:    st.s,
-		proto:  proto,
-		labels: make(map[int]bool),
+	// One sequential copy of the shared slot template (every pair
+	// available); slotOff and posOfPair are read-only, so they alias the
+	// prototype outright.
+	slots := make([]pairSlot, len(proto.slots))
+	copy(slots, proto.slots)
+	return newSampler(inner, slots, proto.fm.Off, proto.posOfPair), nil
+}
+
+// NewSamplerPassive builds a Sampler that runs the paper's Passive baseline
+// (uniform draws with replacement, unit weights, the plain estimator of
+// Eqn. 1) through the same Run/Step and ProposeBatch/CommitLabel surface as
+// OASIS. Only opts.Alpha (or Recall) and opts.Seed apply. Step and Run draw
+// exactly as NewPassiveSampler's method does at the same seed; the session
+// subsystem serves its passive method from this sampler.
+func NewSamplerPassive(p *Pool, opts Options) *Sampler {
+	opts = opts.WithDefaults()
+	slots := make([]pairSlot, p.N())
+	for i := range slots {
+		slots[i] = pairSlot{pair: int32(i), state: pairAvailable}
 	}
-	out.resetAvailability()
-	return out, nil
+	eng := sampler.NewPassive(p.inner, opts.Alpha, rng.New(opts.Seed))
+	return newSampler(eng, slots, []int32{0, int32(len(slots))}, nil)
+}
+
+// newSampler wraps an engine in the propose/commit bookkeeping over a slot
+// layout (slots in stratum order, every pair available; slotOff bounds each
+// stratum; posOfPair as in Sampler). slotOff and posOfPair are aliased
+// read-only.
+func newSampler(eng engine, slots []pairSlot, slotOff, posOfPair []int32) *Sampler {
+	s := &Sampler{
+		inner:      eng,
+		slots:      slots,
+		slotOff:    slotOff,
+		posOfPair:  posOfPair,
+		labels:     make(map[int]bool),
+		availCount: make([]int32, len(slotOff)-1),
+	}
+	s.countAvailability()
+	return s
 }
 
 // resetAvailability rebuilds the proposability accounting from the labels
 // cache, with no outstanding proposals: every unlabelled pair is available.
 func (s *Sampler) resetAvailability() {
-	n := s.str.N()
-	if s.slots == nil {
-		// One sequential copy of the shared slot template (every pair
-		// available); slotOff and posOfPair are read-only after init, so
-		// they alias the prototype outright.
-		s.availCount = make([]int32, s.str.K())
-		s.slots = make([]pairSlot, n)
-		copy(s.slots, s.proto.slots)
-		s.slotOff = s.proto.fm.Off
-		s.posOfPair = s.proto.posOfPair
-	} else {
-		for i := range s.slots {
-			s.slots[i].state = pairAvailable
-		}
+	for i := range s.slots {
+		s.slots[i].state = pairAvailable
 	}
+	s.countAvailability()
+}
+
+// countAvailability drops every outstanding proposal and recounts the
+// proposable pairs per stratum from the labels cache, over slots whose
+// states are all pairAvailable.
+func (s *Sampler) countAvailability() {
 	s.pendingSlab = s.pendingSlab[:0]
 	s.extraDraws = nil
 	for k := range s.availCount {
-		s.availCount[k] = int32(len(s.str.Items[k]))
+		s.availCount[k] = s.slotOff[k+1] - s.slotOff[k]
 	}
-	s.availTotal = n
+	s.availTotal = len(s.slots)
 	for pair := range s.labels {
-		s.slots[s.posOfPair[pair]].state = pairLabelled
-		s.availCount[s.str.Assign[pair]]--
+		s.slots[s.pos(pair)].state = pairLabelled
+		s.availCount[s.stratumOf(pair)]--
 		s.availTotal--
 	}
 	s.maskDirty = true
 }
 
+// pos returns the slot position of pair.
+func (s *Sampler) pos(pair int) int {
+	if s.posOfPair == nil {
+		return pair
+	}
+	return int(s.posOfPair[pair])
+}
+
+// stratumOf returns the stratum whose slot range holds pair.
+func (s *Sampler) stratumOf(pair int) int {
+	pos := int32(s.pos(pair))
+	return sort.Search(len(s.slotOff)-1, func(k int) bool { return s.slotOff[k+1] > pos })
+}
+
 // pairState returns the proposal state of pair, or pairAvailable for an
 // out-of-range index (defensive: callers pass client-supplied pair ids).
 func (s *Sampler) pairState(pair int) int32 {
-	if pair < 0 || pair >= len(s.posOfPair) {
+	if pair < 0 || pair >= len(s.slots) {
 		return pairAvailable
 	}
-	return s.slots[s.posOfPair[pair]].state
+	return s.slots[s.pos(pair)].state
 }
 
 // removePending swap-removes pair's slab entry, returning it together with
 // any queued re-draws. The caller must know the pair is outstanding.
 func (s *Sampler) removePending(pair int) (pendingEntry, []core.Draw) {
-	idx := s.slots[s.posOfPair[pair]].state
+	idx := s.slots[s.pos(pair)].state
 	entry := s.pendingSlab[idx]
 	last := len(s.pendingSlab) - 1
 	if int(idx) != last {
 		moved := s.pendingSlab[last]
 		s.pendingSlab[idx] = moved
-		s.slots[s.posOfPair[moved.pair]].state = idx
+		s.slots[s.pos(int(moved.pair))].state = idx
 	}
 	s.pendingSlab = s.pendingSlab[:last]
-	s.slots[s.posOfPair[pair]].state = pairAvailable
+	s.slots[s.pos(pair)].state = pairAvailable
 	var extra []core.Draw
 	if len(s.extraDraws) > 0 {
 		if ex, ok := s.extraDraws[pair]; ok {
@@ -427,10 +506,11 @@ func (s *Sampler) removePending(pair int) (pendingEntry, []core.Draw) {
 	return entry, extra
 }
 
-// K returns the realised number of strata (≤ Options.Strata).
-func (s *Sampler) K() int { return s.inner.K() }
+// K returns the realised number of strata (≤ Options.Strata; 1 for Passive).
+func (s *Sampler) K() int { return len(s.slotOff) - 1 }
 
-// InitialEstimate returns the score-based initial F̂(0) of Algorithm 2.
+// InitialEstimate returns the score-based initial F̂(0) of Algorithm 2, or
+// NaN for Passive, which makes no initial guess.
 func (s *Sampler) InitialEstimate() float64 { return s.inner.InitialF() }
 
 // Estimate returns the current F-measure estimate.
@@ -466,10 +546,14 @@ func (s *Sampler) Health() Health {
 // every stratum, how many labelled draws landed there, the Σw/Σw² weight
 // moments and local ESS those draws contributed, and the realised draw
 // share against the cached instrumental allocation v(t) (Skew = 1 when
-// sampling matches the current adaptive optimum). Like every other sampler
-// method it must be serialised with draws and commits by the caller.
+// sampling matches the current adaptive optimum). It is nil for Passive,
+// which has no strata to report. Like every other sampler method it must be
+// serialised with draws and commits by the caller.
 func (s *Sampler) StratumDiagnostics() []diag.StratumHealth {
 	draws, sumW, sumW2 := s.inner.StratumStats(nil, nil, nil)
+	if draws == nil {
+		return nil
+	}
 	instr := append([]float64(nil), s.inner.InstrumentalCached()...)
 	return diag.StrataHealth(draws, sumW, sumW2, instr)
 }
@@ -562,7 +646,7 @@ func (s *Sampler) ProposeBatch(n int) ([]int, error) {
 			s.refreshMask()
 			k := s.maskCum.Draw(s.inner.Rand())
 			avail := float64(s.availCount[k])
-			weight := s.maskCum.Sum() * avail / (float64(s.str.N()) * s.inner.InstrumentalCached()[k])
+			weight := s.maskCum.Sum() * avail / (float64(len(s.slots)) * s.inner.InstrumentalCached()[k])
 			pos := s.pickAvailable(k)
 			s.propose(pos, k, weight)
 			batch = append(batch, int(s.slots[pos].pair))
@@ -750,7 +834,7 @@ func (s *Sampler) commitLabel(pair int, label bool, wantTerms bool) ([]DrawTerm,
 	}
 	entry, extra := s.removePending(pair)
 	s.labels[pair] = label
-	s.slots[s.posOfPair[pair]].state = pairLabelled // was pending: availability unchanged
+	s.slots[s.pos(pair)].state = pairLabelled // was pending: availability unchanged
 	s.inner.Commit(entry.draw(), label)
 	for _, d := range extra {
 		s.inner.Commit(d, label)
@@ -774,8 +858,8 @@ func (s *Sampler) commitLabel(pair int, label bool, wantTerms bool) ([]DrawTerm,
 // terms are applied directly, reproducing the live commit bit-for-bit.
 // Already-labelled pairs are idempotent no-ops.
 func (s *Sampler) ReplayCommit(pair int, label bool, terms []DrawTerm) error {
-	if pair < 0 || pair >= s.str.N() {
-		return fmt.Errorf("oasis: replay commit for pair %d outside pool of %d", pair, s.str.N())
+	if pair < 0 || pair >= len(s.slots) {
+		return fmt.Errorf("oasis: replay commit for pair %d outside pool of %d", pair, len(s.slots))
 	}
 	if _, done := s.labels[pair]; done {
 		return nil
@@ -809,8 +893,8 @@ func (s *Sampler) ReplayCommit(pair int, label bool, terms []DrawTerm) error {
 		s.inner.Commit(core.Draw{Pair: pair, Stratum: dt.Stratum, Weight: dt.Weight}, label)
 	}
 	s.labels[pair] = label
-	s.slots[s.posOfPair[pair]].state = pairLabelled
-	s.availCount[s.str.Assign[pair]]--
+	s.slots[s.pos(pair)].state = pairLabelled
+	s.availCount[s.stratumOf(pair)]--
 	s.availTotal--
 	s.maskDirty = true
 	return nil
@@ -826,8 +910,8 @@ func (s *Sampler) Release(pair int) bool {
 	if s.pairState(pair) < 0 {
 		return false
 	}
-	s.removePending(pair) // leaves the pair marked available
-	s.availCount[s.str.Assign[pair]]++
+	entry, _ := s.removePending(pair) // leaves the pair marked available
+	s.availCount[entry.stratum]++
 	s.availTotal++
 	s.maskDirty = true
 	return true
@@ -904,24 +988,25 @@ func (s *Sampler) RestoreState(st *SamplerState) error {
 		return errors.New("oasis: nil sampler state")
 	}
 	for pair := range st.Labels {
-		if pair < 0 || pair >= s.str.N() {
-			return fmt.Errorf("oasis: snapshot label for pair %d outside pool of %d", pair, s.str.N())
+		if pair < 0 || pair >= len(s.slots) {
+			return fmt.Errorf("oasis: snapshot label for pair %d outside pool of %d", pair, len(s.slots))
 		}
 	}
 	seen := make(map[int]bool, len(st.Pending))
 	for _, p := range st.Pending {
-		if p.Pair < 0 || p.Pair >= s.str.N() {
-			return fmt.Errorf("oasis: snapshot proposal for pair %d outside pool of %d", p.Pair, s.str.N())
+		if p.Pair < 0 || p.Pair >= len(s.slots) {
+			return fmt.Errorf("oasis: snapshot proposal for pair %d outside pool of %d", p.Pair, len(s.slots))
 		}
 		if _, labelled := st.Labels[p.Pair]; labelled || seen[p.Pair] {
 			return fmt.Errorf("oasis: snapshot proposal for pair %d clashes with its label state", p.Pair)
 		}
 		seen[p.Pair] = true
-		if p.Stratum != s.str.Assign[p.Pair] || !(p.Weight > 0) || math.IsInf(p.Weight, 0) {
+		k := s.stratumOf(p.Pair)
+		if p.Stratum != k || !(p.Weight > 0) || math.IsInf(p.Weight, 0) {
 			return fmt.Errorf("oasis: snapshot proposal for pair %d has invalid draw {k:%d w:%v}", p.Pair, p.Stratum, p.Weight)
 		}
 		for _, e := range p.Extra {
-			if e.Stratum != s.str.Assign[p.Pair] || !(e.Weight > 0) || math.IsInf(e.Weight, 0) {
+			if e.Stratum != k || !(e.Weight > 0) || math.IsInf(e.Weight, 0) {
 				return fmt.Errorf("oasis: snapshot proposal for pair %d has invalid re-draw %+v", p.Pair, e)
 			}
 		}
@@ -939,7 +1024,7 @@ func (s *Sampler) RestoreState(st *SamplerState) error {
 	// exactly what the snapshotted one would have.
 	s.resetAvailability()
 	for _, p := range st.Pending {
-		s.propose(int(s.posOfPair[p.Pair]), p.Stratum, p.Weight)
+		s.propose(s.pos(p.Pair), p.Stratum, p.Weight)
 		for _, e := range p.Extra {
 			if s.extraDraws == nil {
 				s.extraDraws = make(map[int][]core.Draw)
@@ -986,26 +1071,22 @@ func (m *Method) Run(o OracleFunc, budget int) (*Result, error) {
 	return runLoop(m.inner, o, budget)
 }
 
-// Sampling is with replacement and cached (already-labelled) pairs are free,
-// so a run can legitimately take more draws than its label budget — e.g.
-// once a heavy stratum is fully labelled, every re-draw from it consumes no
-// budget. The cap below bounds the draw count so a degenerate instrumental
-// distribution (all mass on labelled pairs) terminates instead of spinning:
-// MaxDrawFactor draws per budgeted label, plus MaxDrawSlack to keep tiny
-// budgets from being cut off early. Used by runLoop only: the batched
-// proposers (Sampler.ProposeBatch and the session layer's passive proposer)
-// no longer need a cap — their draw paths are rejection-free and exhaustion
-// is a typed error (ErrExhausted).
+// The draw cap of Run and of the experiment harness, defined once in
+// internal/sampler (see sampler.MaxDraws): with-replacement draws of cached
+// pairs are free, so a run can take more draws than its label budget, and
+// the cap makes a degenerate instrumental distribution (all mass on labelled
+// pairs) terminate instead of spinning. ProposeBatch needs no cap: its draw
+// path is rejection-free and exhaustion is a typed error (ErrExhausted).
 const (
 	// MaxDrawFactor bounds with-replacement draws per budgeted label.
-	MaxDrawFactor = 200
+	MaxDrawFactor = sampler.MaxDrawFactor
 	// MaxDrawSlack is the additive slack for small budgets.
-	MaxDrawSlack = 1000
+	MaxDrawSlack = sampler.MaxDrawSlack
 )
 
-// MaxDraws returns the draw cap for a run (or proposal batch) targeting n
-// fresh labels: MaxDrawFactor*n + MaxDrawSlack.
-func MaxDraws(n int) int { return MaxDrawFactor*n + MaxDrawSlack }
+// MaxDraws returns the draw cap for a run targeting n fresh labels:
+// MaxDrawFactor*n + MaxDrawSlack.
+func MaxDraws(n int) int { return sampler.MaxDraws(n) }
 
 // runLoop drives any method until the budget is consumed, with a safety cap
 // on iterations (with-replacement draws of cached pairs are free, so a

@@ -237,3 +237,70 @@ func TestCommitLabelLifecycle(t *testing.T) {
 		t.Fatalf("pending = %d, want 4", got)
 	}
 }
+
+// TestPassiveSamplerSharesTheEngine covers the Passive baseline on the
+// propose/commit engine: single-pair batches reproduce the offline Passive
+// method's Run bit for bit at the same seed (until the storm escape, which
+// this budget never reaches), a labelled-out pool still fills exact-size
+// batches through the storm escape, and the OASIS-only reports are absent.
+func TestPassiveSamplerSharesTheEngine(t *testing.T) {
+	const n, budget = 4000, 150
+	scores, preds, truth, _ := syntheticScores(n, 31)
+	p, err := oasis.NewPool(scores, preds, oasis.CalibratedScores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := oasis.Options{Seed: 9}
+	m, err := oasis.NewPassiveSampler(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(func(i int) bool { return truth[i] }, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := oasis.NewSamplerPassive(p, opts)
+	for s.LabelsCommitted() < budget {
+		pairs, err := s.ProposeBatch(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CommitLabel(pairs[0], truth[pairs[0]]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := s.Estimate(), res.FMeasure; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("propose/commit estimate %v, Run estimate %v", got, want)
+	}
+	if s.K() != 1 || !math.IsNaN(s.InitialEstimate()) || s.StratumDiagnostics() != nil {
+		t.Fatalf("passive sampler reports K=%d, initial %v, strata %v", s.K(), s.InitialEstimate(), s.StratumDiagnostics())
+	}
+
+	small := oasis.NewSamplerPassive(mustPool(t, 300), oasis.Options{Seed: 4})
+	for labelled := 0; labelled < 300; {
+		want := min(40, 300-labelled)
+		pairs, err := small.ProposeBatch(want)
+		if len(pairs) != want || err != nil {
+			t.Fatalf("at %d labelled: batch of %d, err %v; want %d", labelled, len(pairs), err, want)
+		}
+		for _, pair := range pairs {
+			if err := small.CommitLabel(pair, pair%7 == 0); err != nil {
+				t.Fatal(err)
+			}
+			labelled++
+		}
+	}
+	if _, err := small.ProposeBatch(1); !errors.Is(err, oasis.ErrExhausted) {
+		t.Fatalf("fully labelled pool: err = %v, want ErrExhausted", err)
+	}
+}
+
+func mustPool(t *testing.T, n int) *oasis.Pool {
+	t.Helper()
+	scores, preds, _, _ := syntheticScores(n, 33)
+	p, err := oasis.NewPool(scores, preds, oasis.CalibratedScores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
